@@ -1,5 +1,5 @@
 // Microbenchmark: gauge storage tiers (DESIGN.md §16) -- full18 vs
-// recon12 vs recon8 vs fixed12.
+// recon12 vs fixed12.
 //
 // Two studies, both on hot (random SU(3)) links:
 //
@@ -113,7 +113,6 @@ std::vector<FormatRow> stream_study(
   femto::hot_gauge(ud, 7);
   const auto u = ud.convert<float>();
   const femto::CompressedGaugeField<float> r12(u);
-  const femto::Recon8GaugeField<float> r8(u);
   const femto::Fixed12GaugeField<float> x12(u);
 
   std::vector<FormatRow> rows;
@@ -121,7 +120,6 @@ std::vector<FormatRow> stream_study(
   const double base = rows[0].seconds;
   rows[0].speedup = 1.0;
   rows.push_back(stream_row("recon12", r12, base));
-  rows.push_back(stream_row("recon8", r8, base));
   rows.push_back(stream_row("fixed12", x12, base));
   return rows;
 }
@@ -136,7 +134,6 @@ std::vector<FormatRow> dslash_study(
   femto::hot_gauge(ud, 11);
   const auto u = ud.convert<float>();
   const femto::CompressedGaugeField<float> r12(u);
-  const femto::Recon8GaugeField<float> r8(u);
   const femto::Fixed12GaugeField<float> x12(u);
 
   femto::SpinorField<float> in(geom, l5, femto::Subset::Odd),
@@ -175,13 +172,6 @@ std::vector<FormatRow> dslash_study(
       "recon12",
       [&] {
         femto::dslash<float>(femto::view(out), r12, femto::cview(in), 0,
-                             false, tune);
-      },
-      base));
-  rows.push_back(row_for(
-      "recon8",
-      [&] {
-        femto::dslash<float>(femto::view(out), r8, femto::cview(in), 0,
                              false, tune);
       },
       base));
@@ -246,7 +236,7 @@ int main() {
               femto::simd::kIsaName, femto::simd::kWidth<float>);
 
   // DRAM-resident stream: 16x16x16x32 = 131k sites -> 37.7 MB of full18
-  // float links (25.2 / 16.8 / 14.7 MB for recon12 / recon8 / fixed12),
+  // float links (25.2 / 14.7 MB for recon12 / fixed12),
   // well past any LLC on the target machines.
   auto geom_stream = std::make_shared<femto::Geometry>(16, 16, 16, 32);
   std::printf("stream volume 16x16x16x32 (%.1f MB full18 float links)\n\n",

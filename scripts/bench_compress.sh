@@ -2,7 +2,7 @@
 # Benchmark the gauge storage tiers and emit BENCH_compress.json.
 #
 # Runs bench/micro_compress: a DRAM-resident float link stream per format
-# (full18 / recon12 / recon8 / fixed12) plus the info-only end-to-end
+# (full18 / recon12 / fixed12) plus the info-only end-to-end
 # float dslash per format (min-of-reps wall clock, the autotuner's
 # convention).  The JSON lands in the repo root so successive PRs can
 # track the trajectory.

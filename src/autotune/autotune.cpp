@@ -1,5 +1,6 @@
 #include "autotune/autotune.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -29,38 +30,38 @@ Autotuner& Autotuner::global() {
 
 const TuneEntry& Autotuner::tune(Tunable& t) {
   const std::string key = t.key();
-  // The kernel name is the key up to the first ',' (the remainder encodes
-  // geometry/precision); a cached sibling with the same name but a
-  // different key means a geometry change invalidated that entry.
-  std::string stale_key;
+  // The key encodes everything that changes the optimum, so an entry is
+  // served as long as its parameters are still one of the kernel's
+  // candidates.  One that is not -- loaded from a file written when the
+  // kernel had other candidates -- names a kernel that no longer exists:
+  // it counts as a miss and is re-tuned over.
+  const std::vector<TuneParam> cands = t.candidates();
+  const auto is_candidate = [&](const TuneParam& p) {
+    return std::find(cands.begin(), cands.end(), p) != cands.end();
+  };
+  std::string stale_param;
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
-      ++hits_;
-      ++it->second.hits;
-      obs::counter("autotune.cache_hits").add();
-      return it->second;
-    }
-    const std::string prefix = key.substr(0, key.find(',')) + ",";
-    for (const auto& [other, e] : cache_) {
-      if (other.size() > prefix.size() &&
-          other.compare(0, prefix.size(), prefix) == 0) {
-        stale_key = other;
-        break;
+      if (is_candidate(it->second.param)) {
+        ++hits_;
+        ++it->second.hits;
+        obs::counter("autotune.cache_hits").add();
+        return it->second;
       }
+      stale_param = it->second.param.to_string();
     }
   }
-  if (!stale_key.empty())
-    FEMTO_LOG_WARN("autotune",
-                   "cache entry '" << stale_key
-                                   << "' invalidated by geometry change; "
-                                      "re-tuning for key '"
-                                   << key << "'");
+  if (!stale_param.empty())
+    FEMTO_LOG_WARN("autotune", "cache entry '"
+                                   << key << "' holds " << stale_param
+                                   << ", which is no longer a candidate; "
+                                      "re-tuning");
   // Miss: brute-force outside the lock (searches can be slow; concurrent
   // misses on the same key just race to insert the same answer).
   const obs::Stopwatch sw;
-  TuneEntry entry = search(t);
+  TuneEntry entry = search(t, cands);
   entry.search_seconds = sw.seconds();
   obs::counter("autotune.cache_misses").add();
   obs::histogram("autotune.search_us")
@@ -72,17 +73,20 @@ const TuneEntry& Autotuner::tune(Tunable& t) {
                             << ", " << entry.gflops << " GFLOP/s");
   std::lock_guard<std::mutex> lk(mu_);
   ++misses_;
-  auto [it, inserted] = cache_.emplace(key, std::move(entry));
-  (void)inserted;
+  // A concurrent miss may have inserted a valid answer first; keep it.
+  // A stale entry is overwritten.
+  auto [it, inserted] = cache_.try_emplace(key, std::move(entry));
+  if (!inserted && !is_candidate(it->second.param))
+    it->second = std::move(entry);
   return it->second;
 }
 
-TuneEntry Autotuner::search(Tunable& t) const {
+TuneEntry Autotuner::search(Tunable& t,
+                            const std::vector<TuneParam>& cands) const {
   FEMTO_TRACE_SCOPE("autotune", "search");
   t.backup();
   TuneEntry best;
   best.seconds = std::numeric_limits<double>::infinity();
-  const auto cands = t.candidates();
   for (const auto& p : cands) {
     // Warm-up call, then take the min over reps_ timed calls.
     t.apply(p);

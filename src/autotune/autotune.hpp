@@ -88,7 +88,8 @@ class Autotuner {
   Autotuner() = default;
 
   /// Look up the kernel's entry, running the brute-force search on a miss.
-  /// Thread-safe.
+  /// An entry whose parameters are not among t.candidates() (a stale
+  /// femtotune file) is a miss too.  Thread-safe.
   const TuneEntry& tune(Tunable& t);
 
   /// True if the key is already tuned.
@@ -113,7 +114,7 @@ class Autotuner {
   void set_reps(int reps) { reps_ = reps; }
 
  private:
-  TuneEntry search(Tunable& t) const;
+  TuneEntry search(Tunable& t, const std::vector<TuneParam>& cands) const;
 
   // Lock order (DESIGN.md §14): mu_ may be held while obs::Registry::mu_
   // is taken (counter updates inside tune()); never take mu_ while

@@ -12,77 +12,14 @@ std::vector<GaugeFormat> format_set_members(FormatSet s) {
   std::vector<GaugeFormat> f = {GaugeFormat::kFull18};
   if (s == FormatSet::kExact || s == FormatSet::kAll)
     f.push_back(GaugeFormat::kRecon12);
-  if (s == FormatSet::kAll) {
-    f.push_back(GaugeFormat::kRecon8);
-    f.push_back(GaugeFormat::kFixed12);
-  }
+  if (s == FormatSet::kAll) f.push_back(GaugeFormat::kFixed12);
   return f;
 }
-
-namespace {
-
-/// Dispatch one dslash on the container matching @p fmt, building the
-/// compressed copy on first use (reused across reps and candidates; the
-/// one-time compression cost is amortised away by the min-of-reps timer).
-template <typename T>
-void apply_dslash_fmt(GaugeFormat fmt, const GaugeField<T>& u,
-                      std::unique_ptr<CompressedGaugeField<T>>& r12,
-                      std::unique_ptr<Recon8GaugeField<T>>& r8,
-                      std::unique_ptr<Fixed12GaugeField<T>>& x12,
-                      const SpinorView<T>& out, const SpinorView<const T>& in,
-                      int out_parity, const DslashTuning& tune) {
-  switch (fmt) {
-    case GaugeFormat::kRecon12:
-      if (!r12) r12 = std::make_unique<CompressedGaugeField<T>>(u);
-      dslash<T>(out, *r12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kRecon8:
-      if (!r8) r8 = std::make_unique<Recon8GaugeField<T>>(u);
-      dslash<T>(out, *r8, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFixed12:
-      if (!x12) x12 = std::make_unique<Fixed12GaugeField<T>>(u);
-      dslash<T>(out, *x12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFull18:
-      dslash<T>(out, u, in, out_parity, false, tune);
-      break;
-  }
-}
-
-template <typename T>
-void apply_dslash_fmt_multi(GaugeFormat fmt, const GaugeField<T>& u,
-                            std::unique_ptr<CompressedGaugeField<T>>& r12,
-                            std::unique_ptr<Recon8GaugeField<T>>& r8,
-                            std::unique_ptr<Fixed12GaugeField<T>>& x12,
-                            std::span<const SpinorView<T>> out,
-                            std::span<const SpinorView<const T>> in,
-                            int out_parity, const DslashTuning& tune) {
-  switch (fmt) {
-    case GaugeFormat::kRecon12:
-      if (!r12) r12 = std::make_unique<CompressedGaugeField<T>>(u);
-      dslash_multi<T>(out, *r12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kRecon8:
-      if (!r8) r8 = std::make_unique<Recon8GaugeField<T>>(u);
-      dslash_multi<T>(out, *r8, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFixed12:
-      if (!x12) x12 = std::make_unique<Fixed12GaugeField<T>>(u);
-      dslash_multi<T>(out, *x12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFull18:
-      dslash_multi<T>(out, u, in, out_parity, false, tune);
-      break;
-  }
-}
-
-}  // namespace
 
 template <typename T>
 std::string DslashTunable<T>::key() const {
   std::ostringstream os;
-  const auto& d = u_->geom();
+  const auto& d = tiers_.geom();
   // The ISA/width tag keeps femtotune cache entries from a vectorized
   // build out of a scalar (FEMTO_SIMD=OFF) build and vice versa: the
   // variant knob below only means something at the width it was tuned at.
@@ -107,7 +44,7 @@ std::vector<TuneParam> DslashTunable<T>::candidates() const {
     variants.push_back(DslashVariant::kVectorBlocked);
   }
   std::vector<TuneParam> cands;
-  const std::int64_t volh = u_->geom().half_volume();
+  const std::int64_t volh = tiers_.geom().half_volume();
   // Format is the outermost axis (full18 first, so the reference kernel on
   // reference storage leads the search); every (format, variant) pair gets
   // the identical grain sweep.
@@ -138,20 +75,21 @@ void DslashTunable<T>::apply(const TuneParam& p) {
   tune.grain = static_cast<std::size_t>(p.get("grain", 512));
   tune.variant = static_cast<DslashVariant>(p.get("variant", 0));
   tune.format = static_cast<GaugeFormat>(p.get("format", 0));
-  apply_dslash_fmt<T>(tune.format, *u_, u_r12_, u_r8_, u_x12_, view(out_),
-                      cview(in_), out_parity_, tune);
+  tiers_.visit(tune.format, [&](const auto& u) {
+    dslash<T>(view(out_), u, cview(in_), out_parity_, false, tune);
+  });
 }
 
 template <typename T>
 std::int64_t DslashTunable<T>::flops_per_call() const {
-  return flops::kWilsonDslashPerSite * u_->geom().half_volume() * l5_;
+  return flops::kWilsonDslashPerSite * tiers_.geom().half_volume() * l5_;
 }
 
 template <typename T>
 std::int64_t DslashTunable<T>::bytes_per_call() const {
   // Read 8 neighbour spinors + 8 links, write 1 spinor, per site and slice
   // (links re-read per slice in this layout).
-  const std::int64_t volh = u_->geom().half_volume();
+  const std::int64_t volh = tiers_.geom().half_volume();
   const std::int64_t spinor = kSpinorReals * sizeof(T);
   const std::int64_t link = kLinkReals * sizeof(T);
   return volh * l5_ * (9 * spinor + 8 * link);
@@ -181,7 +119,7 @@ template <typename T>
 DslashMultiTunable<T>::DslashMultiTunable(
     std::shared_ptr<const GaugeField<T>> u, int l5, int out_parity,
     std::size_t bmax, FormatSet formats)
-    : u_(std::move(u)),
+    : tiers_(std::move(u)),
       l5_(l5),
       out_parity_(out_parity),
       bmax_(bmax),
@@ -192,8 +130,8 @@ DslashMultiTunable<T>::DslashMultiTunable(
   in_.reserve(bmax_);
   out_.reserve(bmax_);
   for (std::size_t r = 0; r < bmax_; ++r) {
-    in_.emplace_back(u_->geom_ptr(), l5, in_sub);
-    out_.emplace_back(u_->geom_ptr(), l5, out_sub);
+    in_.emplace_back(tiers_.geom_ptr(), l5, in_sub);
+    out_.emplace_back(tiers_.geom_ptr(), l5, out_sub);
     in_.back().gaussian(0xD51A5 + static_cast<std::uint64_t>(r));
   }
 }
@@ -201,7 +139,7 @@ DslashMultiTunable<T>::DslashMultiTunable(
 template <typename T>
 std::string DslashMultiTunable<T>::key() const {
   std::ostringstream os;
-  const auto& d = u_->geom();
+  const auto& d = tiers_.geom();
   os << "dslash_multi,vol=" << d.extent(0) << "x" << d.extent(1) << "x"
      << d.extent(2) << "x" << d.extent(3) << ",l5=" << l5_
      << ",parity=" << out_parity_ << ",prec=" << sizeof(T)
@@ -218,7 +156,7 @@ std::vector<TuneParam> DslashMultiTunable<T>::candidates() const {
     variants.push_back(DslashVariant::kVectorBlocked);
   }
   std::vector<TuneParam> cands;
-  const std::int64_t volh = u_->geom().half_volume();
+  const std::int64_t volh = tiers_.geom().half_volume();
   for (const GaugeFormat f : format_set_members(formats_)) {
     for (const DslashVariant v : variants) {
       for (std::size_t nrhs = 1; nrhs <= bmax_; nrhs *= 2) {
@@ -261,15 +199,16 @@ void DslashMultiTunable<T>::apply(const TuneParam& p) {
       outs.push_back(view(out_[r0 + i]));
       ins.push_back(cview(in_[r0 + i]));
     }
-    apply_dslash_fmt_multi<T>(tune.format, *u_, u_r12_, u_r8_, u_x12_, outs,
-                              ins, out_parity_, tune);
+    tiers_.visit(tune.format, [&](const auto& u) {
+      dslash_multi<T>(outs, u, ins, out_parity_, false, tune);
+    });
   }
 }
 
 template <typename T>
 std::int64_t DslashMultiTunable<T>::flops_per_call() const {
   return static_cast<std::int64_t>(bmax_) * flops::kWilsonDslashPerSite *
-         u_->geom().half_volume() * l5_;
+         tiers_.geom().half_volume() * l5_;
 }
 
 template <typename T>
@@ -277,7 +216,7 @@ std::int64_t DslashMultiTunable<T>::bytes_per_call() const {
   // Charged with the unamortised (B=1) traffic model so candidate gbytes
   // are comparable across batch sizes: a candidate that amortises link
   // loads shows up as HIGHER effective bandwidth, not lower traffic.
-  const std::int64_t volh = u_->geom().half_volume();
+  const std::int64_t volh = tiers_.geom().half_volume();
   const std::int64_t spinor = kSpinorReals * sizeof(T);
   const std::int64_t link = kLinkReals * sizeof(T);
   return static_cast<std::int64_t>(bmax_) * volh * l5_ *

@@ -19,9 +19,9 @@ namespace femto::tune {
 /// Which gauge storage tiers a tuning sweep may race (DESIGN.md §16).
 /// kFullOnly keeps the sweep on full-18 links (the double operator: its
 /// reliable updates must not see reconstruction error), kExact adds
-/// recon12 (exact up to rounding), kAll adds the approximate tiers
-/// recon8/fixed12 (the float inner-iteration operator, where
-/// half-precision spinors are already allowed).
+/// recon12 (exact up to rounding), kAll adds the approximate tier fixed12
+/// (the float inner-iteration operator, where half-precision spinors are
+/// already allowed): kAll = full18/recon12/fixed12.
 enum class FormatSet : int { kFullOnly = 0, kExact = 1, kAll = 2 };
 
 /// The formats a FormatSet admits, reference tier first.
@@ -33,13 +33,13 @@ class DslashTunable : public Tunable {
  public:
   DslashTunable(std::shared_ptr<const GaugeField<T>> u, int l5,
                 int out_parity, FormatSet formats = FormatSet::kFullOnly)
-      : u_(std::move(u)),
+      : tiers_(std::move(u)),
         l5_(l5),
         out_parity_(out_parity),
         formats_(formats),
-        in_(u_->geom_ptr(), l5,
+        in_(tiers_.geom_ptr(), l5,
             out_parity == 0 ? Subset::Odd : Subset::Even),
-        out_(u_->geom_ptr(), l5,
+        out_(tiers_.geom_ptr(), l5,
              out_parity == 0 ? Subset::Even : Subset::Odd) {
     in_.gaussian(0xD51A5);
   }
@@ -51,16 +51,14 @@ class DslashTunable : public Tunable {
   std::int64_t bytes_per_call() const override;
 
  private:
-  std::shared_ptr<const GaugeField<T>> u_;
+  // The compressed tiers are built when the sweep first races them, then
+  // reused by every rep and candidate (the min-of-reps timer amortises
+  // the one-time compression away).
+  GaugeTiers<T> tiers_;
   int l5_;
   int out_parity_;
   FormatSet formats_;
   SpinorField<T> in_, out_;
-  // Per-tier compressed copies of u_, built lazily by apply() when the
-  // sweep first races that tier (then reused by every rep/candidate).
-  std::unique_ptr<CompressedGaugeField<T>> u_r12_;
-  std::unique_ptr<Recon8GaugeField<T>> u_r8_;
-  std::unique_ptr<Fixed12GaugeField<T>> u_x12_;
 };
 
 /// Convenience: returns the tuned grain and kernel variant for this
@@ -101,15 +99,12 @@ class DslashMultiTunable : public Tunable {
   std::int64_t bytes_per_call() const override;
 
  private:
-  std::shared_ptr<const GaugeField<T>> u_;
+  GaugeTiers<T> tiers_;
   int l5_;
   int out_parity_;
   std::size_t bmax_;
   FormatSet formats_;
   std::vector<SpinorField<T>> in_, out_;
-  std::unique_ptr<CompressedGaugeField<T>> u_r12_;
-  std::unique_ptr<Recon8GaugeField<T>> u_r8_;
-  std::unique_ptr<Fixed12GaugeField<T>> u_x12_;
 };
 
 /// Tuned batch size + launch parameters for dslash_multi against this

@@ -51,7 +51,6 @@ constexpr int kFixed12WireReals = 4;
 int wire_link_reals(GaugeFormat f) {
   switch (f) {
     case GaugeFormat::kRecon12: return kCompressedLinkReals;
-    case GaugeFormat::kRecon8: return kRecon8LinkReals;
     case GaugeFormat::kFixed12: return kFixed12WireReals;
     case GaugeFormat::kFull18: return kLinkReals;
   }
@@ -62,9 +61,6 @@ void encode_link_wire(GaugeFormat f, const ColorMat<double>& u, double* w) {
   switch (f) {
     case GaugeFormat::kRecon12:
       encode_recon12(u, w);
-      break;
-    case GaugeFormat::kRecon8:
-      encode_recon8(u, w);
       break;
     case GaugeFormat::kFixed12: {
       std::int16_t q[kFixed12LinkInts];
@@ -87,8 +83,6 @@ ColorMat<double> decode_link_wire(GaugeFormat f, const double* w) {
   switch (f) {
     case GaugeFormat::kRecon12:
       return decode_recon12(w);
-    case GaugeFormat::kRecon8:
-      return decode_recon8(w);
     case GaugeFormat::kFixed12: {
       std::int16_t q[kFixed12LinkInts];
       float s = 0.0f;

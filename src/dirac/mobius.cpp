@@ -19,14 +19,14 @@ FifthDimOp affine_lambda(int l5, double mf, double a, double b) {
 template <typename T>
 MobiusOperator<T>::MobiusOperator(std::shared_ptr<const GaugeField<T>> u,
                                   MobiusParams params, DslashTuning tune)
-    : u_(std::move(u)),
+    : tiers_(std::move(u)),
       params_(params),
       tune_(tune),
-      tmp_e_(u_->geom_ptr(), params.l5, Subset::Even),
-      tmp_e2_(u_->geom_ptr(), params.l5, Subset::Even),
-      tmp_o_(u_->geom_ptr(), params.l5, Subset::Odd),
-      tmp_f_(u_->geom_ptr(), params.l5, Subset::Full),
-      tmp_f2_(u_->geom_ptr(), params.l5, Subset::Full) {
+      tmp_e_(geom_ptr(), params.l5, Subset::Even),
+      tmp_e2_(geom_ptr(), params.l5, Subset::Even),
+      tmp_o_(geom_ptr(), params.l5, Subset::Odd),
+      tmp_f_(geom_ptr(), params.l5, Subset::Full),
+      tmp_f2_(geom_ptr(), params.l5, Subset::Full) {
   const int l5 = params_.l5;
   const double a = 4.0 + params_.m5;
   lambda_ = affine_lambda(l5, params_.mf, 0.0, 1.0);
@@ -41,41 +41,12 @@ MobiusOperator<T>::MobiusOperator(std::shared_ptr<const GaugeField<T>> u,
 }
 
 template <typename T>
-void MobiusOperator<T>::ensure_format() const {
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      if (!u_r12_) u_r12_ = std::make_unique<CompressedGaugeField<T>>(*u_);
-      break;
-    case GaugeFormat::kRecon8:
-      if (!u_r8_) u_r8_ = std::make_unique<Recon8GaugeField<T>>(*u_);
-      break;
-    case GaugeFormat::kFixed12:
-      if (!u_x12_) u_x12_ = std::make_unique<Fixed12GaugeField<T>>(*u_);
-      break;
-    case GaugeFormat::kFull18:
-      break;
-  }
-}
-
-template <typename T>
 void MobiusOperator<T>::dslash_fmt(const SpinorView<T>& out,
                                    const SpinorView<const T>& in,
                                    int out_parity, bool dagger) const {
-  ensure_format();
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      dslash<T>(out, *u_r12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kRecon8:
-      dslash<T>(out, *u_r8_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFixed12:
-      dslash<T>(out, *u_x12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFull18:
-      dslash<T>(out, *u_, in, out_parity, dagger, tune_);
-      break;
-  }
+  tiers_.visit(tune_.format, [&](const auto& u) {
+    dslash<T>(out, u, in, out_parity, dagger, tune_);
+  });
 }
 
 template <typename T>
@@ -83,42 +54,18 @@ void MobiusOperator<T>::dslash_fmt_multi(
     std::span<const SpinorView<T>> out,
     std::span<const SpinorView<const T>> in, int out_parity,
     bool dagger) const {
-  ensure_format();
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      dslash_multi<T>(out, *u_r12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kRecon8:
-      dslash_multi<T>(out, *u_r8_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFixed12:
-      dslash_multi<T>(out, *u_x12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFull18:
-      dslash_multi<T>(out, *u_, in, out_parity, dagger, tune_);
-      break;
-  }
+  tiers_.visit(tune_.format, [&](const auto& u) {
+    dslash_multi<T>(out, u, in, out_parity, dagger, tune_);
+  });
 }
 
 template <typename T>
 void MobiusOperator<T>::wilson_op_fmt(SpinorField<T>& out,
                                       const SpinorField<T>& in,
                                       bool dagger) const {
-  ensure_format();
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      wilson_op<T>(out, *u_r12_, in, params_.m5, dagger, tune_);
-      break;
-    case GaugeFormat::kRecon8:
-      wilson_op<T>(out, *u_r8_, in, params_.m5, dagger, tune_);
-      break;
-    case GaugeFormat::kFixed12:
-      wilson_op<T>(out, *u_x12_, in, params_.m5, dagger, tune_);
-      break;
-    case GaugeFormat::kFull18:
-      wilson_op<T>(out, *u_, in, params_.m5, dagger, tune_);
-      break;
-  }
+  tiers_.visit(tune_.format, [&](const auto& u) {
+    wilson_op<T>(out, u, in, params_.m5, dagger, tune_);
+  });
 }
 
 template <typename T>
@@ -174,7 +121,7 @@ template <typename T>
 void MobiusOperator<T>::apply_normal(SpinorField<T>& out,
                                      const SpinorField<T>& in) const {
   assert(out.subset() == Subset::Odd && in.subset() == Subset::Odd);
-  SpinorField<T> mid(u_->geom_ptr(), params_.l5, Subset::Odd);
+  SpinorField<T> mid(geom_ptr(), params_.l5, Subset::Odd);
   apply_schur(mid, in, false);
   apply_schur(out, mid, true);
 }
@@ -182,10 +129,10 @@ void MobiusOperator<T>::apply_normal(SpinorField<T>& out,
 template <typename T>
 void MobiusOperator<T>::ensure_multi(std::size_t n) const {
   while (mtmp_e_.size() < n) {
-    mtmp_e_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Even);
-    mtmp_e2_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Even);
-    mtmp_o_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Odd);
-    mtmp_mid_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Odd);
+    mtmp_e_.emplace_back(geom_ptr(), params_.l5, Subset::Even);
+    mtmp_e2_.emplace_back(geom_ptr(), params_.l5, Subset::Even);
+    mtmp_o_.emplace_back(geom_ptr(), params_.l5, Subset::Odd);
+    mtmp_mid_.emplace_back(geom_ptr(), params_.l5, Subset::Odd);
   }
 }
 
@@ -294,7 +241,7 @@ void MobiusOperator<T>::reconstruct(SpinorField<T>& x_full,
 
 template <typename T>
 std::int64_t MobiusOperator<T>::flops_per_schur() const {
-  const std::int64_t volh = u_->geom().half_volume();
+  const std::int64_t volh = tiers_.geom().half_volume();
   const std::int64_t sites5 = volh * params_.l5;
   // Two dslash passes + three fifth-dim matvecs (B, BC^-1, C) + the axpby.
   return 2 * flops::kWilsonDslashPerSite * sites5 +

@@ -62,8 +62,10 @@ class MobiusOperator {
                  DslashTuning tune = {});
 
   const MobiusParams& params() const { return params_; }
-  const GaugeField<T>& gauge() const { return *u_; }
-  std::shared_ptr<const Geometry> geom_ptr() const { return u_->geom_ptr(); }
+  const GaugeField<T>& gauge() const { return tiers_.full(); }
+  std::shared_ptr<const Geometry> geom_ptr() const {
+    return tiers_.geom_ptr();
+  }
   DslashTuning& tuning() { return tune_; }
 
   /// Full (unpreconditioned) operator on Subset::Full fields.
@@ -107,12 +109,10 @@ class MobiusOperator {
 
  private:
   // Format dispatch (DESIGN.md §16): every dslash/wilson_op call site
-  // below routes through these, which read tune_.format and hand the
-  // kernel the matching container.  The compressed copies are built
-  // lazily on first use and cached for the operator's lifetime (the
-  // gauge field is immutable here), under the same documented
+  // below routes through these, which hand the kernel the container
+  // tiers_ serves for tune_.format.  A compressed copy is built on first
+  // use and cached for the operator's lifetime, under the same documented
   // non-thread-safe contract as the workspaces.
-  void ensure_format() const;
   void dslash_fmt(const SpinorView<T>& out, const SpinorView<const T>& in,
                   int out_parity, bool dagger) const;
   void dslash_fmt_multi(std::span<const SpinorView<T>> out,
@@ -121,12 +121,9 @@ class MobiusOperator {
   void wilson_op_fmt(SpinorField<T>& out, const SpinorField<T>& in,
                      bool dagger) const;
 
-  std::shared_ptr<const GaugeField<T>> u_;
+  GaugeTiers<T> tiers_;
   MobiusParams params_;
   DslashTuning tune_;
-  mutable std::unique_ptr<CompressedGaugeField<T>> u_r12_;
-  mutable std::unique_ptr<Recon8GaugeField<T>> u_r8_;
-  mutable std::unique_ptr<Fixed12GaugeField<T>> u_x12_;
   FifthDimOp lambda_, b_, c_, cinv_, bcinv_;
   FifthDimOp bt_, ct_, bcinvt_;  // transposes for the dagger application
   // Workspaces (documented non-thread-safe: one solve per operator).

@@ -47,8 +47,8 @@ struct DslashTuning {
   DslashVariant variant = DslashVariant::kScalar;
   /// Gauge storage tier the operator should read (DESIGN.md §16).  The
   /// dslash entry points below take the container explicitly; this knob is
-  /// how the tuned selection travels through MobiusOperator, which owns
-  /// the compressed copies and dispatches on it.
+  /// how the tuned selection travels through MobiusOperator, whose
+  /// GaugeTiers holder maps it to a container.
   GaugeFormat format = GaugeFormat::kFull18;
 };
 
@@ -84,14 +84,10 @@ void dslash_multi(std::span<const SpinorView<T>> out, const GaugeField<T>& u,
 /// scalar, vector, vector_blocked — reads every storage tier, because the
 /// kernel bodies are generic over the container and only its load()
 /// differs.  recon12 is bit-compatible with full storage on SU(3) links
-/// up to reconstruction rounding; recon8/fixed12 are the approximate
-/// tiers the mixed-precision inner iterations are allowed to use.
+/// up to reconstruction rounding; fixed12 is the approximate tier the
+/// mixed-precision inner iterations are allowed to use.
 template <typename T>
 void dslash(const SpinorView<T>& out, const CompressedGaugeField<T>& u,
-            const SpinorView<const T>& in, int out_parity, bool dagger,
-            const DslashTuning& tune = {});
-template <typename T>
-void dslash(const SpinorView<T>& out, const Recon8GaugeField<T>& u,
             const SpinorView<const T>& in, int out_parity, bool dagger,
             const DslashTuning& tune = {});
 template <typename T>
@@ -109,21 +105,9 @@ void dslash_multi(std::span<const SpinorView<T>> out,
                   bool dagger, const DslashTuning& tune = {});
 template <typename T>
 void dslash_multi(std::span<const SpinorView<T>> out,
-                  const Recon8GaugeField<T>& u,
-                  std::span<const SpinorView<const T>> in, int out_parity,
-                  bool dagger, const DslashTuning& tune = {});
-template <typename T>
-void dslash_multi(std::span<const SpinorView<T>> out,
                   const Fixed12GaugeField<T>& u,
                   std::span<const SpinorView<const T>> in, int out_parity,
                   bool dagger, const DslashTuning& tune = {});
-
-/// Back-compat alias for the recon12 stencil (pre-tier API).
-template <typename T>
-void dslash_compressed(const SpinorView<T>& out,
-                       const CompressedGaugeField<T>& u,
-                       const SpinorView<const T>& in, int out_parity,
-                       bool dagger, const DslashTuning& tune = {});
 
 /// Full-lattice Wilson operator: out = (4 + mass) in - 1/2 Dslash in.
 /// Fields must be Subset::Full with matching l5.
@@ -133,10 +117,6 @@ void wilson_op(SpinorField<T>& out, const GaugeField<T>& u,
                const DslashTuning& tune = {});
 template <typename T>
 void wilson_op(SpinorField<T>& out, const CompressedGaugeField<T>& u,
-               const SpinorField<T>& in, double mass, bool dagger = false,
-               const DslashTuning& tune = {});
-template <typename T>
-void wilson_op(SpinorField<T>& out, const Recon8GaugeField<T>& u,
                const SpinorField<T>& in, double mass, bool dagger = false,
                const DslashTuning& tune = {});
 template <typename T>
@@ -168,7 +148,7 @@ extern template void wilson_op<float>(SpinorField<float>&,
                                       const SpinorField<float>&, double, bool,
                                       const DslashTuning&);
 
-// Compressed-container overloads, both precisions x all three tiers.
+// Compressed-container overloads, both precisions x both compressed tiers.
 #define FEMTO_EXTERN_DSLASH_FMT(T, GaugeT)                                   \
   extern template void dslash<T>(const SpinorView<T>&, const GaugeT<T>&,     \
                                  const SpinorView<const T>&, int, bool,      \
@@ -182,8 +162,6 @@ extern template void wilson_op<float>(SpinorField<float>&,
                                     const DslashTuning&);
 FEMTO_EXTERN_DSLASH_FMT(double, CompressedGaugeField)
 FEMTO_EXTERN_DSLASH_FMT(float, CompressedGaugeField)
-FEMTO_EXTERN_DSLASH_FMT(double, Recon8GaugeField)
-FEMTO_EXTERN_DSLASH_FMT(float, Recon8GaugeField)
 FEMTO_EXTERN_DSLASH_FMT(double, Fixed12GaugeField)
 FEMTO_EXTERN_DSLASH_FMT(float, Fixed12GaugeField)
 #undef FEMTO_EXTERN_DSLASH_FMT

@@ -1,5 +1,5 @@
 #pragma once
-// Tiered gauge-link storage: QUDA's reconstruct family plus 16-bit
+// Tiered gauge-link storage: QUDA's reconstruct-12 plus 16-bit
 // fixed-point links (PAPER.md §1.2).  The dslash is bandwidth-bound, so
 // every byte not stored is a byte not streamed:
 //
@@ -7,9 +7,6 @@
 //   full18    18 reals             yes      plain GaugeField<T>
 //   recon12   12 reals             yes*     rows 0-1; third row is the
 //                                           conjugate cross product
-//   recon8    8 reals              yes*     rows 0-1 minus the redundant
-//                                           unitarity dof: two phases +
-//                                           three complex entries
 //   fixed12   12 int16 + 1 float   no       recon12 quantised to 16-bit
 //                                           fixed point with a per-link
 //                                           max-abs scale (the spinor
@@ -17,23 +14,24 @@
 //
 // (* exact up to reconstruction rounding on unitary input.)
 //
-// recon12/recon8 are only valid on SU(3) links — under FEMTO_CHECKED,
-// store() rejects non-unitary input loudly, and recon8 additionally
-// rejects links whose first row is dominated by its leading entry
-// (|a2|²+|a3|² ≈ 0), where the phase parameterisation degenerates.
-// recon8 and fixed12 are approximate storage tiers: solvers use them only
-// where half-precision spinors are already allowed (the float inner
-// iterations of mixed CG), never in the double reliable updates.
+// recon12/fixed12 are only valid on SU(3) links -- under FEMTO_CHECKED,
+// store() rejects non-unitary input loudly.  fixed12 is the approximate
+// storage tier: solvers use it only where half-precision spinors are
+// already allowed (the float inner iterations of mixed CG), never in the
+// double reliable updates.
 //
 // The per-link codecs are free functions shared by the containers below
 // and by the distributed gauge-halo wire packer (dirac/distributed.cpp),
-// so wire format and storage format cannot drift apart.
+// so wire format and storage format cannot drift apart.  GaugeTiers at
+// the bottom is the one place that decides which container serves a
+// format.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/check.hpp"
@@ -46,45 +44,21 @@ namespace femto {
 /// Gauge-link storage tier, threaded from field to solver to tuner.  The
 /// ordinals are stable: they appear in femtotune cache keys, in the
 /// `dslash.format_{f,d}` gauges (decoded by the femtoscope report), and in
-/// SolverParams.
+/// SolverParams.  Ordinal 2 belonged to a deleted reconstruct-8 tier and
+/// stays unused, so recorded ordinals keep their meaning.
 enum class GaugeFormat : int {
   kFull18 = 0,
   kRecon12 = 1,
-  kRecon8 = 2,
   kFixed12 = 3,
 };
-
-inline constexpr int kNumGaugeFormats = 4;
 
 constexpr const char* gauge_format_name(GaugeFormat f) {
   switch (f) {
     case GaugeFormat::kFull18: return "full18";
     case GaugeFormat::kRecon12: return "recon12";
-    case GaugeFormat::kRecon8: return "recon8";
     case GaugeFormat::kFixed12: return "fixed12";
   }
   return "?";
-}
-
-/// True for the tiers that reproduce unitary links exactly (up to
-/// reconstruction rounding); false for the quantised tier.
-constexpr bool gauge_format_exact(GaugeFormat f) {
-  return f != GaugeFormat::kFixed12;
-}
-
-/// Stored bytes per link for scalar type T (full18/recon12/recon8 store
-/// reals of T; fixed12 stores int16 + a float scale regardless of T).
-template <typename T>
-constexpr std::int64_t gauge_link_bytes(GaugeFormat f) {
-  switch (f) {
-    case GaugeFormat::kFull18: return 18 * sizeof(T);
-    case GaugeFormat::kRecon12: return 12 * sizeof(T);
-    case GaugeFormat::kRecon8: return 8 * sizeof(T);
-    case GaugeFormat::kFixed12:
-      return 12 * static_cast<std::int64_t>(sizeof(std::int16_t)) +
-             sizeof(float);
-  }
-  return 0;
 }
 
 /// Reconstruct the third row of an SU(3) matrix from the first two:
@@ -98,8 +72,6 @@ constexpr void reconstruct_third_row(ColorMat<T>& u) {
 
 /// Number of stored reals per link in reconstruct-12 format.
 inline constexpr int kCompressedLinkReals = 12;
-/// Number of stored reals per link in reconstruct-8 format.
-inline constexpr int kRecon8LinkReals = 8;
 /// Number of stored int16 per link in fixed12 format (plus a float scale):
 /// one per recon12 real.
 inline constexpr int kFixed12LinkInts = kCompressedLinkReals;
@@ -171,49 +143,6 @@ constexpr ColorMat<T> decode_recon12(const T* q) {
       u(r, c) = {q[0], q[1]};
       q += 2;
     }
-  reconstruct_third_row(u);
-  return u;
-}
-
-/// recon8: rows 0-1 carry two redundant unitarity dof, so 8 reals suffice:
-/// arg(a1), arg(c1), and the complex entries a2, a3, b1 (QUDA's
-/// reconstruct-8).  |a1| and |c1| follow from column normalisation, b2/b3
-/// from orthogonality, row 2 from the cross product.
-template <typename T>
-inline void encode_recon8(const ColorMat<T>& u, T* q) {
-  q[0] = std::atan2(u(0, 0).im, u(0, 0).re);
-  q[1] = std::atan2(u(2, 0).im, u(2, 0).re);
-  q[2] = u(0, 1).re;
-  q[3] = u(0, 1).im;
-  q[4] = u(0, 2).re;
-  q[5] = u(0, 2).im;
-  q[6] = u(1, 0).re;
-  q[7] = u(1, 0).im;
-}
-
-template <typename T>
-inline ColorMat<T> decode_recon8(const T* q) {
-  ColorMat<T> u;
-  const Cplx<T> a2{q[2], q[3]}, a3{q[4], q[5]}, b1{q[6], q[7]};
-  // |a2|^2 + |a3|^2 = 1 - |a1|^2; clamped so degenerate input yields a
-  // finite (if wrong) matrix instead of NaN in unchecked builds.
-  const T n = std::max(detail::cnorm2(a2) + detail::cnorm2(a3), T(1e-30));
-  const T abs_a1 = std::sqrt(std::max(T(1) - n, T(0)));
-  const Cplx<T> a1{abs_a1 * std::cos(q[0]), abs_a1 * std::sin(q[0])};
-  const T abs_c1 =
-      std::sqrt(std::max(T(1) - abs_a1 * abs_a1 - detail::cnorm2(b1), T(0)));
-  const Cplx<T> c1{abs_c1 * std::cos(q[1]), abs_c1 * std::sin(q[1])};
-  const T inv_n = T(1) / n;
-  // Column 1 _|_ column 2 and c = conj(a x b) pin b2, b3 (2x2 solve with
-  // determinant n):
-  const Cplx<T> b2 = -inv_n * (conj(a1) * a2 * b1 + conj(a3) * conj(c1));
-  const Cplx<T> b3 = inv_n * (conj(a2) * conj(c1) - conj(a1) * a3 * b1);
-  u(0, 0) = a1;
-  u(0, 1) = a2;
-  u(0, 2) = a3;
-  u(1, 0) = b1;
-  u(1, 1) = b2;
-  u(1, 2) = b3;
   reconstruct_third_row(u);
   return u;
 }
@@ -337,63 +266,6 @@ class CompressedGaugeField {
   std::vector<T> data_;
 };
 
-/// A gauge field stored in reconstruct-8 format: 8 reals per link, the
-/// minimal parameterisation (modulo two discrete phases folded into
-/// arg(a1)/arg(c1)).  Valid on generic SU(3) links; degenerates when
-/// |a2|^2+|a3|^2 ~ 0 (e.g. unit gauge), which FEMTO_CHECKED rejects.
-template <typename T>
-class Recon8GaugeField {
- public:
-  static constexpr GaugeFormat kFormat = GaugeFormat::kRecon8;
-
-  explicit Recon8GaugeField(const GaugeField<T>& full)
-      : geom_(full.geom_ptr()) {
-    data_.resize(
-        static_cast<std::size_t>(4 * geom_->volume() * kRecon8LinkReals));
-    detail::compress_sweep(*geom_, [&](std::int64_t i) {
-      const int mu = static_cast<int>(i / geom_->volume());
-      const std::int64_t s = i % geom_->volume();
-      store(mu, s, full.load(mu, s));
-    });
-    flops::add_bytes(full.bytes() + bytes());
-  }
-
-  const Geometry& geom() const { return *geom_; }
-  std::shared_ptr<const Geometry> geom_ptr() const { return geom_; }
-
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(data_.size() * sizeof(T));
-  }
-
-  void store(int mu, std::int64_t site, const ColorMat<T>& u) {
-    detail::check_unitary_link(u);
-    FEMTO_CHECK(detail::cnorm2(u(0, 1)) + detail::cnorm2(u(0, 2)) > T(1e-12),
-                "recon8 phase parameterisation degenerates on links with "
-                "|a2|^2+|a3|^2 ~ 0 (unit-like gauge)");
-    encode_recon8(u, data_.data() + offset(mu, site));
-  }
-
-  ColorMat<T> load(int mu, std::int64_t site) const {
-    return decode_recon8(data_.data() + offset(mu, site));
-  }
-
-  GaugeField<T> decompress() const {
-    GaugeField<T> out(geom_);
-    for (int mu = 0; mu < 4; ++mu)
-      for (std::int64_t s = 0; s < geom_->volume(); ++s)
-        out.store(mu, s, load(mu, s));
-    return out;
-  }
-
- private:
-  std::int64_t offset(int mu, std::int64_t site) const {
-    return (std::int64_t(mu) * geom_->volume() + site) * kRecon8LinkReals;
-  }
-
-  std::shared_ptr<const Geometry> geom_;
-  std::vector<T> data_;
-};
-
 /// A gauge field stored in fixed12 format: 12 int16 + one float scale per
 /// link (28 bytes).  Approximate (~4.5 decimal digits per real); allowed
 /// only where half-precision spinors already are.
@@ -457,6 +329,53 @@ class Fixed12GaugeField {
   std::shared_ptr<const Geometry> geom_;
   std::vector<std::int16_t> q_;
   std::vector<float> scale_;
+};
+
+/// The storage tiers of one gauge field: the full field plus its recon12
+/// and fixed12 copies, each compressed on first use and then kept for the
+/// holder's lifetime (the links are immutable here).  visit() is the one
+/// switch that maps a GaugeFormat to its container; operators and tuners
+/// dispatch through it instead of keeping per-tier members.
+///
+/// Not thread-safe: a first visit of a tier mutates the holder, so one
+/// holder serves one caller at a time (the contract of the operators and
+/// tunables that own one).
+template <typename T>
+class GaugeTiers {
+ public:
+  explicit GaugeTiers(std::shared_ptr<const GaugeField<T>> full)
+      : full_(std::move(full)) {}
+
+  const GaugeField<T>& full() const { return *full_; }
+  const Geometry& geom() const { return full_->geom(); }
+  std::shared_ptr<const Geometry> geom_ptr() const {
+    return full_->geom_ptr();
+  }
+
+  /// Call @p f with the container serving @p fmt, building it first if
+  /// this is the tier's first use.  An ordinal no tier answers to (2, the
+  /// deleted reconstruct-8 tier) fails FEMTO_CHECK and is otherwise served
+  /// by the full field, the reference every tier approximates.
+  template <typename F>
+  decltype(auto) visit(GaugeFormat fmt, F&& f) const {
+    switch (fmt) {
+      case GaugeFormat::kRecon12:
+        if (!r12_) r12_ = std::make_unique<CompressedGaugeField<T>>(*full_);
+        return f(std::as_const(*r12_));
+      case GaugeFormat::kFixed12:
+        if (!x12_) x12_ = std::make_unique<Fixed12GaugeField<T>>(*full_);
+        return f(std::as_const(*x12_));
+      case GaugeFormat::kFull18:
+        break;
+    }
+    FEMTO_CHECK(fmt == GaugeFormat::kFull18, "unknown GaugeFormat ordinal");
+    return f(*full_);
+  }
+
+ private:
+  std::shared_ptr<const GaugeField<T>> full_;
+  mutable std::unique_ptr<CompressedGaugeField<T>> r12_;
+  mutable std::unique_ptr<Fixed12GaugeField<T>> x12_;
 };
 
 }  // namespace femto

@@ -30,7 +30,6 @@ const char* dslash_variant_name(double v) {
 const char* dslash_format_name(double v) {
   const int k = static_cast<int>(v);
   if (k == 1) return "recon12";
-  if (k == 2) return "recon8";
   if (k == 3) return "fixed12";
   return "full18";
 }

@@ -47,7 +47,7 @@ struct SolverParams {
                                ///< kernels (0 = blas::kGrain); autotuned
                                ///< via tune::tuned_blas_grain
   /// Gauge storage tier for the sloppy (inner) operator (DESIGN.md §16).
-  /// The approximate tiers (recon8/fixed12) are allowed exactly where
+  /// The approximate tier (fixed12) is allowed exactly where
   /// half-precision spinors already are — inner iterations — while
   /// reliable updates always run on full-18 double links.  Autotuned via
   /// tune::tuned_dslash_grain(..., FormatSet::kAll) in DwfSolver.

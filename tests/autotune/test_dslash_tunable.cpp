@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
 #include <sstream>
 
@@ -163,8 +165,8 @@ namespace femto::tune {
 namespace {
 
 std::shared_ptr<const GaugeField<double>> make_hot_gauge() {
-  // hot links: recon8's phase parameterisation degenerates on unit-like
-  // gauge, and the tuner really builds a Recon8GaugeField per candidate.
+  // hot links: the tuner really builds the compressed containers, whose
+  // checked store() demands generic SU(3) input.
   auto g = std::make_shared<Geometry>(4, 4, 4, 8);
   auto u = std::make_shared<GaugeField<double>>(g);
   hot_gauge(*u, 211);
@@ -188,7 +190,7 @@ TEST(DslashTunable, CandidatesSweepAllFormats) {
   EXPECT_EQ(c.front().get("variant"), 0);
   std::set<std::int64_t> formats;
   for (const auto& p : c) formats.insert(p.get("format", 0));
-  EXPECT_EQ(formats, (std::set<std::int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(formats, (std::set<std::int64_t>{0, 1, 3}));
   // Every format gets the full variant x grain sweep.
   EXPECT_EQ(c.size() % formats.size(), 0u);
   DslashTunable<double> exact(u, 4, 0, FormatSet::kExact);
@@ -213,13 +215,46 @@ TEST(DslashTunable, TunedFormatIsRecordedAndValid) {
   Autotuner::global().clear();
   auto u = make_hot_gauge();
   const auto t = tuned_dslash_grain<double>(u, 2, 0, FormatSet::kAll);
-  const int f = static_cast<int>(t.format);
-  EXPECT_GE(f, 0);
-  EXPECT_LT(f, kNumGaugeFormats);
+  const auto admitted = format_set_members(FormatSet::kAll);
+  EXPECT_NE(std::find(admitted.begin(), admitted.end(), t.format),
+            admitted.end())
+      << static_cast<int>(t.format);
   // The default sweep still pins full18.
   const auto t0 = tuned_dslash_grain<double>(u, 2, 1);
   EXPECT_EQ(t0.format, GaugeFormat::kFull18);
   Autotuner::global().clear();
+}
+
+TEST(DslashTunable, StaleCachedFormatIsRetuned) {
+  // A femtotune file written when the kAll sweep still raced ordinal 2
+  // (the deleted reconstruct-8 tier) carries the same key as today's kAll
+  // sweep.  Serving its format=2 would hand MobiusOperator a tier nothing
+  // implements; the tuner must treat the entry as a miss and re-tune.
+  auto u = make_hot_gauge();
+  const DslashTunable<double> probe(u, 2, 0, FormatSet::kAll);
+  TuneEntry stale;
+  stale.param.knobs = {{"format", 2}, {"grain", 16}, {"variant", 0}};
+  stale.seconds = 1e-6;
+  Autotuner old;
+  old.insert(probe.key(), stale);
+  const std::string path =
+      ::testing::TempDir() + "femtotune_stale_format.cache";
+  old.save(path);
+
+  Autotuner::global().clear();
+  ASSERT_EQ(Autotuner::global().load(path), 1);
+  const auto t = tuned_dslash_grain<double>(u, 2, 0, FormatSet::kAll);
+  const auto admitted = format_set_members(FormatSet::kAll);
+  EXPECT_NE(std::find(admitted.begin(), admitted.end(), t.format),
+            admitted.end())
+      << static_cast<int>(t.format);
+  EXPECT_EQ(Autotuner::global().cache_misses(), 1);
+  // The re-tuned entry replaced the stale one and is now served.
+  const auto t2 = tuned_dslash_grain<double>(u, 2, 0, FormatSet::kAll);
+  EXPECT_EQ(t2.format, t.format);
+  EXPECT_EQ(Autotuner::global().cache_hits(), 1);
+  Autotuner::global().clear();
+  std::remove(path.c_str());
 }
 
 TEST(DslashMultiTunable, FormatAxisComposesWithBatch) {

@@ -1,9 +1,14 @@
 // Batched dslash correctness: dslash_multi must be BITWISE identical, per
-// right-hand side, to B independent dslash() calls with the same tuning —
-// on every kernel variant, both parities, the dagger flag, and ragged
-// batch sizes that do not divide the vector width.  This is the contract
-// the block solvers and the solve service build on: batching is a pure
-// bandwidth optimisation, never a numerics change.
+// right-hand side, to B independent calls of the scalar full-18
+// single-RHS reference dslash — on every kernel variant, both parities,
+// the dagger flag, and ragged batch sizes that do not divide the vector
+// width.  This is the contract the block solvers and the solve service
+// build on: batching is a pure bandwidth optimisation, never a numerics
+// change.  The reference is the scalar kernel, not the same variant's
+// single-RHS path, so a defect shared by one variant's single and batched
+// bodies cannot hide.  Grains of 16 and 64 split the 256 sites of a
+// parity into at least 4 chunks, so every worker of a 4-worker pool takes
+// part (ctest also runs these tests at FEMTO_THREADS=1, 2 and 4).
 
 #include "dirac/wilson.hpp"
 
@@ -36,6 +41,9 @@ void check_multi_matches_single(std::size_t nrhs, int l5, bool dagger,
   DslashTuning tune;
   tune.grain = grain;
   tune.variant = v;
+  DslashTuning reference;
+  reference.grain = grain;
+  reference.variant = DslashVariant::kScalar;
 
   std::vector<SpinorField<T>> in, want, got;
   for (std::size_t r = 0; r < nrhs; ++r) {
@@ -48,7 +56,7 @@ void check_multi_matches_single(std::size_t nrhs, int l5, bool dagger,
   for (int par = 0; par < 2; ++par) {
     for (std::size_t r = 0; r < nrhs; ++r)
       dslash<T>(parity_view(want[r], par), u, parity_view(in[r], 1 - par),
-                par, dagger, tune);
+                par, dagger, reference);
     std::vector<SpinorView<T>> outs;
     std::vector<SpinorView<const T>> ins;
     for (std::size_t r = 0; r < nrhs; ++r) {

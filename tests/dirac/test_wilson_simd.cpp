@@ -5,7 +5,9 @@
 // baseline target, pack/unpack is pure data movement), so on this build
 // they must agree BITWISE with the scalar kernel — including ragged
 // l5 % W tails, both parities, and the dagger flag.  Repeat runs of one
-// variant must also be bitwise stable.
+// variant must also be bitwise stable.  Grains of 16 (or 1) split the 256
+// sites of a parity into at least 4 chunks, so with ctest's
+// FEMTO_THREADS=2 and 4 registrations every pool worker runs its share.
 
 #include "dirac/wilson.hpp"
 
@@ -76,7 +78,7 @@ TEST(WilsonSimd, VariantsAgreeBitwiseFloat) {
 
 TEST(WilsonSimd, VariantsAgreeAcrossGrains) {
   // The launch grain partitions sites across workers; no variant may let
-  // it leak into the arithmetic.
+  // it leak into the arithmetic.  Reference: the scalar kernel.
   auto g = geom();
   GaugeField<double> u(g);
   weak_gauge(u, 23, 0.25);
@@ -84,14 +86,16 @@ TEST(WilsonSimd, VariantsAgreeAcrossGrains) {
   SpinorField<double> in(g, l5, Subset::Full);
   in.gaussian(29);
   SpinorField<double> ref(g, l5, Subset::Full), got(g, l5, Subset::Full);
-  run_variant(ref, u, in, false, DslashVariant::kVector, 16);
-  for (std::size_t grain : {std::size_t{1}, std::size_t{64},
-                            std::size_t{4096}}) {
-    run_variant(got, u, in, false, DslashVariant::kVector, grain);
-    for (std::int64_t k = 0; k < in.reals(); ++k)
-      ASSERT_EQ(got.data()[k], ref.data()[k]) << "grain=" << grain
-                                              << " k=" << k;
-  }
+  run_variant(ref, u, in, false, DslashVariant::kScalar, 16);
+  for (DslashVariant v : {DslashVariant::kScalar, DslashVariant::kVector,
+                          DslashVariant::kVectorBlocked})
+    for (std::size_t grain : {std::size_t{1}, std::size_t{64},
+                              std::size_t{4096}}) {
+      run_variant(got, u, in, false, v, grain);
+      for (std::int64_t k = 0; k < in.reals(); ++k)
+        ASSERT_EQ(got.data()[k], ref.data()[k])
+            << to_string(v) << " grain=" << grain << " k=" << k;
+    }
 }
 
 TEST(WilsonSimd, RepeatRunsBitwiseStable) {
@@ -137,11 +141,13 @@ TEST(WilsonSimd, WilsonOpAgreesAcrossVariants) {
   SpinorField<double> ref(g, l5, Subset::Full), got(g, l5, Subset::Full);
 
   DslashTuning scalar;
+  scalar.grain = 16;
   scalar.variant = DslashVariant::kScalar;
   wilson_op<double>(ref, u, in, 0.1, false, scalar);
   for (DslashVariant v :
        {DslashVariant::kVector, DslashVariant::kVectorBlocked}) {
     DslashTuning tune;
+    tune.grain = 16;
     tune.variant = v;
     wilson_op<double>(got, u, in, 0.1, false, tune);
     for (std::int64_t k = 0; k < in.reals(); ++k)

@@ -107,7 +107,7 @@ TEST(CompressedGauge, CompressedDslashMatchesFull) {
   in.gaussian(1608);
   for (bool dagger : {false, true}) {
     dslash<double>(view(a), u, cview(in), 0, dagger, {});
-    dslash_compressed<double>(view(b), c, cview(in), 0, dagger, {});
+    dslash<double>(view(b), c, cview(in), 0, dagger, {});
     for (std::int64_t k = 0; k < a.reals(); ++k)
       ASSERT_NEAR(a.data()[k], b.data()[k], 1e-12) << dagger;
   }
@@ -117,35 +117,15 @@ TEST(CompressedGauge, CompressedDslashMatchesFull) {
 }  // namespace femto
 
 // ---------------------------------------------------------------------------
-// The deeper tiers (DESIGN.md §16): recon8 exact-for-SU(3), fixed12
-// quantised, plus the storage/traffic/determinism contracts shared by all
-// three containers.
+// The quantised tier (DESIGN.md §16): fixed12 round-trip, storage and
+// determinism contracts, plus the traffic contracts shared by the
+// compressed containers.
 // ---------------------------------------------------------------------------
 
 #include "lattice/flops.hpp"
 
 namespace femto {
 namespace {
-
-TEST(Recon8Gauge, RoundTripOnHotGauge) {
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1609);
-  Recon8GaugeField<double> c(u);
-  for (int mu = 0; mu < 4; ++mu)
-    for (std::int64_t s = 0; s < u.geom().volume(); s += 11) {
-      const auto full = u.load(mu, s);
-      const auto rec = c.load(mu, s);
-      // atan2/sin/cos/sqrt in the codec cost a few ulp more than recon12.
-      EXPECT_LT(dist2(full, rec), 1e-20) << mu << " " << s;
-    }
-}
-
-TEST(Recon8Gauge, StorageIsFourNinths) {
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1610);
-  Recon8GaugeField<double> c(u);
-  EXPECT_EQ(c.bytes() * 9, u.bytes() * 4);
-}
 
 TEST(Fixed12Gauge, RoundTripWithinQuantisationBound) {
   GaugeField<double> u(geom448());

@@ -173,7 +173,7 @@ namespace {
 
 TEST(DwfSolver, CompressedInnerLinksReachSameAnswer) {
   // The accuracy contract of DESIGN.md §16: the sloppy operator may read
-  // any storage tier — recon12 exactly, recon8/fixed12 approximately,
+  // any storage tier — recon12 exactly, fixed12 approximately,
   // i.e. exactly where half-precision spinors already live — because the
   // reliable updates recompute the TRUE residual on full-18 double links.
   // Mixed CG must therefore reach the same double residual, and the
@@ -189,8 +189,7 @@ TEST(DwfSolver, CompressedInnerLinksReachSameAnswer) {
   const auto r_ref = ref_solver.solve(x_ref, b);
   ASSERT_TRUE(r_ref.converged) << r_ref.summary();
 
-  for (GaugeFormat fmt : {GaugeFormat::kRecon12, GaugeFormat::kRecon8,
-                          GaugeFormat::kFixed12}) {
+  for (GaugeFormat fmt : {GaugeFormat::kRecon12, GaugeFormat::kFixed12}) {
     SolverParams spc = sp;
     spc.gauge_format = fmt;
     DwfSolver solver(u, kParams, spc);

@@ -424,7 +424,7 @@ class Extractor {
   // top-level comma-separated declarator.
   void scan_params(FunctionInfo& fn, std::size_t open, std::size_t close) {
     static const std::set<std::string> kCompressed = {
-        "CompressedGaugeField", "Recon8GaugeField", "Fixed12GaugeField"};
+        "CompressedGaugeField", "Fixed12GaugeField"};
     int depth = 0;
     bool compressed = false;
     std::string last_ident;
