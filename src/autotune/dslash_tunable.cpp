@@ -16,6 +16,20 @@ std::vector<GaugeFormat> format_set_members(FormatSet s) {
   return f;
 }
 
+namespace {
+
+/// The stencil knobs of a dslash or dslash_multi candidate.  A parameter
+/// without a grain knob runs at the shared stencil grain.
+DslashTuning dslash_tuning_of(const TuneParam& p) {
+  DslashTuning t;
+  t.grain = static_cast<std::size_t>(p.get("grain", kStencilGrain));
+  t.variant = static_cast<DslashVariant>(p.get("variant", 0));
+  t.format = static_cast<GaugeFormat>(p.get("format", 0));
+  return t;
+}
+
+}  // namespace
+
 template <typename T>
 std::string DslashTunable<T>::key() const {
   std::ostringstream os;
@@ -71,10 +85,7 @@ std::vector<TuneParam> DslashTunable<T>::candidates() const {
 
 template <typename T>
 void DslashTunable<T>::apply(const TuneParam& p) {
-  DslashTuning tune;
-  tune.grain = static_cast<std::size_t>(p.get("grain", 512));
-  tune.variant = static_cast<DslashVariant>(p.get("variant", 0));
-  tune.format = static_cast<GaugeFormat>(p.get("format", 0));
+  const DslashTuning tune = dslash_tuning_of(p);
   tiers_.visit(tune.format, [&](const auto& u) {
     dslash<T>(view(out_), u, cview(in_), out_parity_, false, tune);
   });
@@ -100,10 +111,7 @@ DslashTuning tuned_dslash_grain(std::shared_ptr<const GaugeField<T>> u,
                                 int l5, int out_parity, FormatSet formats) {
   DslashTunable<T> tunable(std::move(u), l5, out_parity, formats);
   const TuneEntry& e = Autotuner::global().tune(tunable);
-  DslashTuning t;
-  t.grain = static_cast<std::size_t>(e.param.get("grain", 512));
-  t.variant = static_cast<DslashVariant>(e.param.get("variant", 0));
-  t.format = static_cast<GaugeFormat>(e.param.get("format", 0));
+  const DslashTuning t = dslash_tuning_of(e.param);
   // Surface the winners in the femtoscope registry; the run report's simd
   // block decodes the variant and format ordinals (see obs/report.cpp).
   const char* prec = sizeof(T) == 4 ? "f" : "d";
@@ -184,10 +192,7 @@ std::vector<TuneParam> DslashMultiTunable<T>::candidates() const {
 
 template <typename T>
 void DslashMultiTunable<T>::apply(const TuneParam& p) {
-  DslashTuning tune;
-  tune.grain = static_cast<std::size_t>(p.get("grain", 512));
-  tune.variant = static_cast<DslashVariant>(p.get("variant", 0));
-  tune.format = static_cast<GaugeFormat>(p.get("format", 0));
+  const DslashTuning tune = dslash_tuning_of(p);
   const std::size_t nrhs = static_cast<std::size_t>(p.get("nrhs", 1));
   for (std::size_t r0 = 0; r0 < bmax_; r0 += nrhs) {
     const std::size_t nb = std::min(nrhs, bmax_ - r0);
@@ -230,9 +235,7 @@ MultiRhsTuning tuned_multi_rhs(std::shared_ptr<const GaugeField<T>> u,
   DslashMultiTunable<T> tunable(std::move(u), l5, out_parity, bmax, formats);
   const TuneEntry& e = Autotuner::global().tune(tunable);
   MultiRhsTuning t;
-  t.dslash.grain = static_cast<std::size_t>(e.param.get("grain", 512));
-  t.dslash.variant = static_cast<DslashVariant>(e.param.get("variant", 0));
-  t.dslash.format = static_cast<GaugeFormat>(e.param.get("format", 0));
+  t.dslash = dslash_tuning_of(e.param);
   t.nrhs = static_cast<std::size_t>(e.param.get("nrhs", 1));
   const char* prec = sizeof(T) == 4 ? "f" : "d";
   obs::gauge(std::string("dslash_multi.nrhs_") + prec)

@@ -9,6 +9,8 @@
 // so the even-even block of the Mobius operator is inverted once (SMat)
 // and applied everywhere — the red-black preconditioning trick.
 
+#include <span>
+
 #include "lattice/flops.hpp"
 #include "dirac/smat.hpp"
 #include "lattice/field.hpp"
@@ -42,18 +44,30 @@ struct FifthDimOp {
 
   FifthDimOp inverse() const { return {plus.inverse(), minus.inverse()}; }
 
-  /// out(s) = sum_s' M(s,s') in(s') per site, per spin pair, per color.
-  /// Views must share `sites` and l5 == n.
+  /// out_r(s) = sum_s' M(s,s') in_r(s') per site, per spin pair, per
+  /// color, for every right-hand side r, in ONE pool launch over
+  /// (RHS x site).  All views must share `sites`, and l5 == n.  @p grain is
+  /// in 4D sites.  Every (RHS, site) is computed independently, so each
+  /// output is bitwise the same whatever the batch, grain or worker count.
+  template <typename T>
+  void apply(std::span<const SpinorView<T>> out,
+             std::span<const SpinorView<const T>> in,
+             std::size_t grain = kStencilGrain) const;
+
+  /// The batch-of-one case of the batched apply.
   template <typename T>
   void apply(const SpinorView<T>& out, const SpinorView<const T>& in,
-             std::size_t grain = 256) const;
+             std::size_t grain = kStencilGrain) const {
+    apply<T>(std::span<const SpinorView<T>>(&out, 1),
+             std::span<const SpinorView<const T>>(&in, 1), grain);
+  }
 };
 
 extern template void FifthDimOp::apply<double>(
-    const SpinorView<double>&, const SpinorView<const double>&,
-    std::size_t) const;
+    std::span<const SpinorView<double>>,
+    std::span<const SpinorView<const double>>, std::size_t) const;
 extern template void FifthDimOp::apply<float>(
-    const SpinorView<float>&, const SpinorView<const float>&,
-    std::size_t) const;
+    std::span<const SpinorView<float>>,
+    std::span<const SpinorView<const float>>, std::size_t) const;
 
 }  // namespace femto

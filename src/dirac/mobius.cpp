@@ -1,5 +1,7 @@
 #include "dirac/mobius.hpp"
 
+#include <algorithm>
+
 #include "lattice/blas.hpp"
 
 namespace femto {
@@ -12,6 +14,25 @@ FifthDimOp affine_lambda(int l5, double mf, double a, double b) {
   SMat lm = lambda_minus(l5, mf).scaled(b);
   const SMat id = SMat::identity(l5).scaled(a);
   return {id + lp, id + lm};
+}
+
+/// out = in on every slice: one pool launch at the stencil grain, one
+/// contiguous copy per (slice, chunk).
+template <typename T>
+void copy_sites(const SpinorView<T>& out, const SpinorView<const T>& in) {
+  assert(out.sites == in.sites && out.l5 == in.l5);
+  par::parallel_for_chunked(
+      0, static_cast<std::size_t>(out.sites),
+      [&](std::size_t lo, std::size_t hi) {
+        const auto i = static_cast<std::int64_t>(lo);
+        const auto len = static_cast<std::int64_t>(hi - lo) * kSpinorReals;
+        for (int s = 0; s < out.l5; ++s)
+          std::copy_n(in.data + in.offset(s, i), len,
+                      out.data + out.offset(s, i));
+      },
+      kStencilGrain);
+  flops::add_bytes(2 * out.sites * out.l5 * kSpinorReals *
+                   static_cast<std::int64_t>(sizeof(T)));
 }
 
 }  // namespace
@@ -121,9 +142,9 @@ template <typename T>
 void MobiusOperator<T>::apply_normal(SpinorField<T>& out,
                                      const SpinorField<T>& in) const {
   assert(out.subset() == Subset::Odd && in.subset() == Subset::Odd);
-  SpinorField<T> mid(geom_ptr(), params_.l5, Subset::Odd);
-  apply_schur(mid, in, false);
-  apply_schur(out, mid, true);
+  if (!tmp_mid_) tmp_mid_.emplace(geom_ptr(), params_.l5, Subset::Odd);
+  apply_schur(*tmp_mid_, in, false);
+  apply_schur(out, *tmp_mid_, true);
 }
 
 template <typename T>
@@ -147,6 +168,7 @@ void MobiusOperator<T>::apply_schur_multi(
   // Per-stage view batches over the RHS workspaces.
   std::vector<SpinorView<T>> ve, ve2, vo, vout;
   std::vector<SpinorView<const T>> cve, cve2, cvo, cvin;
+  std::vector<const SpinorField<T>*> to;
   for (std::size_t r = 0; r < nb; ++r) {
     assert(out[r]->subset() == Subset::Odd && in[r]->subset() == Subset::Odd);
     ve.push_back(view(mtmp_e_[r]));
@@ -157,27 +179,28 @@ void MobiusOperator<T>::apply_schur_multi(
     cve2.push_back(cview(mtmp_e2_[r]));
     cvo.push_back(cview(mtmp_o_[r]));
     cvin.push_back(view(*in[r]));
+    to.push_back(&mtmp_o_[r]);
   }
+  // Every stage is one launch over the whole batch: the dslash stages load
+  // each site's links once for all RHSs, the site-diagonal fifth-dim
+  // matvecs and the closing update run over (RHS x site).  Each RHS sees
+  // the same per-site arithmetic as apply_schur, so the batch never moves
+  // a bit of its answer.
   if (!dagger) {
-    // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, stage by stage; the
-    // site-diagonal fifth-dim matvecs stay per RHS (no cross-RHS reuse to
-    // be had — they touch no gauge links), the two dslash stages batch.
-    for (std::size_t r = 0; r < nb; ++r) b_.apply<T>(vo[r], cvin[r]);
+    // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, applied right to left.
+    b_.apply<T>(vo, cvin);
     dslash_fmt_multi(ve, cvo, /*out_parity=*/0, false);
-    for (std::size_t r = 0; r < nb; ++r) bcinv_.apply<T>(ve2[r], cve[r]);
+    bcinv_.apply<T>(ve2, cve);
     dslash_fmt_multi(vout, cve2, /*out_parity=*/1, false);
-    for (std::size_t r = 0; r < nb; ++r) c_.apply<T>(vo[r], cvin[r]);
+    c_.apply<T>(vo, cvin);
   } else {
     dslash_fmt_multi(ve, cvin, /*out_parity=*/0, true);
-    for (std::size_t r = 0; r < nb; ++r) bcinvt_.apply<T>(ve2[r], cve[r]);
+    bcinvt_.apply<T>(ve2, cve);
     dslash_fmt_multi(vo, cve2, /*out_parity=*/1, true);
-    for (std::size_t r = 0; r < nb; ++r) {
-      bt_.apply<T>(vout[r], cvo[r]);
-      ct_.apply<T>(vo[r], cvin[r]);
-    }
+    bt_.apply<T>(vout, cvo);
+    ct_.apply<T>(vo, cvin);
   }
-  for (std::size_t r = 0; r < nb; ++r)
-    blas::axpby<T>(1.0, mtmp_o_[r], -0.25, *out[r]);
+  blas::axpby_multi<T>(1.0, to, -0.25, out);
 }
 
 template <typename T>
@@ -207,12 +230,8 @@ void MobiusOperator<T>::prepare_source(SpinorField<T>& bhat_odd,
   bcinv_.apply<T>(view(tmp_e_), parity_view(b_full, 0));
   // bhat = Dslash_oe tmp_e
   dslash_fmt(view(bhat_odd), cview(tmp_e_), /*out_parity=*/1, false);
-  // bhat = b_o + 1/2 bhat
-  // Copy the odd half of b into tmp_o_ first.
-  const auto bo = parity_view(b_full, 1);
-  const auto to = view(tmp_o_);
-  for (int s = 0; s < params_.l5; ++s)
-    for (std::int64_t i = 0; i < to.sites; ++i) to.store(s, i, bo.load(s, i));
+  // bhat = b_o + 1/2 bhat, with the odd half of b copied to tmp_o_ first.
+  copy_sites<T>(view(tmp_o_), parity_view(b_full, 1));
   blas::axpby<T>(1.0, tmp_o_, 0.5, bhat_odd);
 }
 
@@ -225,18 +244,12 @@ void MobiusOperator<T>::reconstruct(SpinorField<T>& x_full,
   b_.apply<T>(view(tmp_o_), view(x_odd));
   dslash_fmt(view(tmp_e_), cview(tmp_o_), /*out_parity=*/0, false);
   // tmp_e = b_e + 1/2 tmp_e
-  const auto be = parity_view(b_full, 0);
-  const auto te = view(tmp_e2_);
-  for (int s = 0; s < params_.l5; ++s)
-    for (std::int64_t i = 0; i < te.sites; ++i) te.store(s, i, be.load(s, i));
+  copy_sites<T>(view(tmp_e2_), parity_view(b_full, 0));
   blas::axpby<T>(1.0, tmp_e2_, 0.5, tmp_e_);
   // x_e = C^-1 tmp_e
   cinv_.apply<T>(parity_view(x_full, 0), cview(tmp_e_));
   // x_o = x_odd
-  const auto xo = parity_view(x_full, 1);
-  const auto xi = view(x_odd);
-  for (int s = 0; s < params_.l5; ++s)
-    for (std::int64_t i = 0; i < xo.sites; ++i) xo.store(s, i, xi.load(s, i));
+  copy_sites<T>(parity_view(x_full, 1), view(x_odd));
 }
 
 template <typename T>

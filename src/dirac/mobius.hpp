@@ -29,6 +29,7 @@
 // is reconstructed as x_e = C^-1 (b_e + 1/2 Dslash_eo B x_o).
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -80,9 +81,10 @@ class MobiusOperator {
   /// inverts).
   void apply_normal(SpinorField<T>& out, const SpinorField<T>& in) const;
 
-  /// Batched Schur operator over B right-hand sides: the two dslash
-  /// stages run through dslash_multi (links loaded once per block), the
-  /// site-diagonal fifth-dim stages per RHS.  Per-RHS output is bitwise
+  /// Batched Schur operator over B right-hand sides: each stage is one
+  /// launch over the whole batch (the two dslash stages through
+  /// dslash_multi, links loaded once per block; the fifth-dim stages and
+  /// the closing update over RHS x site).  Per-RHS output is bitwise
   /// identical to apply_schur on the same field, whatever the batch.
   void apply_schur_multi(std::span<SpinorField<T>* const> out,
                          std::span<const SpinorField<T>* const> in,
@@ -128,6 +130,10 @@ class MobiusOperator {
   FifthDimOp bt_, ct_, bcinvt_;  // transposes for the dagger application
   // Workspaces (documented non-thread-safe: one solve per operator).
   mutable SpinorField<T> tmp_e_, tmp_e2_, tmp_o_;
+  // M x between apply_normal's two halves, built on first use like the
+  // batched workspaces below (operators that never apply the single-RHS
+  // normal operator never hold it).
+  mutable std::optional<SpinorField<T>> tmp_mid_;
   mutable SpinorField<T> tmp_f_, tmp_f2_;
   // Per-RHS workspaces for the batched applications, grown on demand to
   // the largest batch seen (same non-thread-safe contract).

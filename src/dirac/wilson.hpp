@@ -43,7 +43,7 @@ inline const char* to_string(DslashVariant v) {
 /// Tuning knobs for the stencil kernel (swept by the autotuner the same way
 /// QUDA sweeps CUDA launch geometry).
 struct DslashTuning {
-  std::size_t grain = 512;  ///< minimum 4D sites per thread chunk
+  std::size_t grain = kStencilGrain;  ///< minimum 4D sites per thread chunk
   DslashVariant variant = DslashVariant::kScalar;
   /// Gauge storage tier the operator should read (DESIGN.md §16).  The
   /// dslash entry points below take the container explicitly; this knob is

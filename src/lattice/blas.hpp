@@ -688,6 +688,28 @@ void xpay_multi(std::span<const SpinorField<T>* const> x,
   flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
 }
 
+/// y_r = a*x_r + b*y_r for each RHS.  Untraced like axpby: both close the
+/// Schur operator, whose time belongs to the dirac layer.
+template <typename T, int W = simd::kWidth<T>>
+void axpby_multi(double a, std::span<const SpinorField<T>* const> x,
+                 double b, std::span<SpinorField<T>* const> y,
+                 std::size_t grain = kGrain) {
+  const std::size_t nb = y.size();
+  FEMTO_ASSERT(x.size() == nb);
+  if (nb == 0) return;
+  const T aa = static_cast<T>(a), bb = static_cast<T>(b);
+  par::parallel_for_chunked(
+      0, static_cast<std::size_t>(y[0]->reals()),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = 0; r < nb; ++r)
+          detail::axpby_chunk<W>(aa, x[r]->data(), bb, y[r]->data(), lo, hi);
+      },
+      grain);
+  const std::int64_t reals = static_cast<std::int64_t>(nb) * y[0]->reals();
+  flops::add(3 * reals);
+  flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
+}
+
 /// y_r += a_r*x_r, returning ||y_r||^2 of each updated y_r.
 template <typename T, int W = simd::kWidth<T>>
 void axpy_norm2_multi(std::span<const double> a,

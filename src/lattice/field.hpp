@@ -8,6 +8,7 @@
 // red-black preconditioned solver).  4D fields are the L5 == 1 case.
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -183,6 +184,17 @@ struct SpinorView {
 
 template <typename T>
 using ConstSpinorView = SpinorView<const T>;
+
+/// Minimum 4D sites per thread chunk for every non-reducing stencil launch
+/// over spinor views: the dslash (untuned), the fifth-dim matvecs and the
+/// parity copies.  Small enough that one parity of a 4^3x8 lattice (256
+/// sites) splits into 16 chunks, so a small-volume solve fills the whole
+/// pool instead of running inline on the caller (DESIGN.md §11).  These
+/// launches write disjoint sites and reduce nothing, so the grain never
+/// changes a bit of their output; the reducing kernels keep their own
+/// grains (blas::kGrain, HalfSpinorField::kHalfGrain), which fix the
+/// reduction order (DESIGN.md §13).
+inline constexpr std::size_t kStencilGrain = 16;
 
 /// View of a whole field.
 template <typename T>

@@ -9,9 +9,10 @@
 //    per site by the same scalar codec, then broadcast); across tiers every
 //    variant is held against the scalar full-18 single-RHS reference:
 //    recon12 to reconstruction rounding, fixed12 to its quantisation step.
-//    Grain 16 splits the 256 sites of a parity into 16 chunks, so every
-//    worker of the pool runs its share (ctest also runs these tests at
-//    FEMTO_THREADS=1, 2 and 4).
+//    Both hold with and without the dagger flag.  Grain 16 splits the
+//    256 sites of a parity into 16 chunks, so every worker of the pool
+//    runs its share (ctest also runs these tests at FEMTO_THREADS=1, 2
+//    and 4).
 //
 //  * wire -- the one-time gauge-halo exchange in a compressed tier must
 //    fill the same full-precision ghosts (to codec tolerance) as the
@@ -23,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "dirac/distributed.hpp"
@@ -50,16 +52,17 @@ DslashTuning tuning(DslashVariant v) {
 
 template <typename T, typename GaugeT>
 void run_variant_fmt(SpinorField<T>& out, const GaugeT& u,
-                     const SpinorField<T>& in, DslashVariant v) {
+                     const SpinorField<T>& in, DslashVariant v, bool dagger) {
   for (int par = 0; par < 2; ++par)
     dslash<T>(parity_view(out, par), u, parity_view(in, 1 - par), par,
-              false, tuning(v));
+              dagger, tuning(v));
 }
 
 /// The batched stencil over @p in (B fields), one parity pair per call.
 template <typename T, typename GaugeT>
 void run_multi_fmt(std::vector<SpinorField<T>>& out, const GaugeT& u,
-                   const std::vector<SpinorField<T>>& in, DslashVariant v) {
+                   const std::vector<SpinorField<T>>& in, DslashVariant v,
+                   bool dagger) {
   for (int par = 0; par < 2; ++par) {
     std::vector<SpinorView<T>> outs;
     std::vector<SpinorView<const T>> ins;
@@ -67,7 +70,7 @@ void run_multi_fmt(std::vector<SpinorField<T>>& out, const GaugeT& u,
       outs.push_back(parity_view(out[r], par));
       ins.push_back(parity_view(in[r], 1 - par));
     }
-    dslash_multi<T>(outs, u, ins, par, false, tuning(v));
+    dslash_multi<T>(outs, u, ins, par, dagger, tuning(v));
   }
 }
 
@@ -77,13 +80,16 @@ void check_variants_agree_on(const GaugeT& u, const SpinorField<double>& in,
   auto g = in.geom_ptr();
   SpinorField<double> ref(g, in.l5(), Subset::Full),
       got(g, in.l5(), Subset::Full);
-  run_variant_fmt(ref, u, in, DslashVariant::kScalar);
-  for (DslashVariant v :
-       {DslashVariant::kVector, DslashVariant::kVectorBlocked}) {
-    run_variant_fmt(got, u, in, v);
-    for (std::int64_t k = 0; k < in.reals(); ++k)
-      ASSERT_EQ(got.data()[k], ref.data()[k])
-          << fmt << " " << to_string(v) << " k=" << k;
+  for (bool dagger : {false, true}) {
+    run_variant_fmt(ref, u, in, DslashVariant::kScalar, dagger);
+    for (DslashVariant v :
+         {DslashVariant::kVector, DslashVariant::kVectorBlocked}) {
+      run_variant_fmt(got, u, in, v, dagger);
+      for (std::int64_t k = 0; k < in.reals(); ++k)
+        ASSERT_EQ(got.data()[k], ref.data()[k])
+            << fmt << " " << to_string(v) << " dagger=" << dagger
+            << " k=" << k;
+    }
   }
 }
 
@@ -125,30 +131,37 @@ TEST(GaugeFormatKernels, FormatsMatchFullWithinCodecTolerance) {
     ref.emplace_back(g, l5, Subset::Full);
     got.emplace_back(g, l5, Subset::Full);
     in.back().gaussian(2104 + static_cast<std::uint64_t>(r));
-    // The oracle: scalar kernel, full-18 links, one RHS at a time.
-    run_variant_fmt(ref.back(), u, in.back(), DslashVariant::kScalar);
   }
 
   // recon12 is exact to reconstruction rounding; fixed12 is bounded by
   // the 16-bit quantisation step and really approximate, not silently
   // exact.
-  const auto check = [&](const auto& tier, const char* name, double hi,
-                         double lo) {
+  const auto check = [&](const auto& tier, const char* name, bool dagger,
+                         double hi, double lo) {
     for (DslashVariant v : kVariants) {
-      run_variant_fmt(got[0], tier, in[0], v);
+      const auto tag = [&] {
+        return std::string(name) + " " + to_string(v) +
+               (dagger ? " dagger" : "");
+      };
+      run_variant_fmt(got[0], tier, in[0], v, dagger);
       const double d = rel_diff(got[0], ref[0]);
-      EXPECT_LT(d, hi) << name << " " << to_string(v);
-      EXPECT_GT(d, lo) << name << " " << to_string(v);
-      run_multi_fmt(got, tier, in, v);
+      EXPECT_LT(d, hi) << tag();
+      EXPECT_GT(d, lo) << tag();
+      run_multi_fmt(got, tier, in, v, dagger);
       for (std::size_t r = 0; r < kRhs; ++r) {
         const double dm = rel_diff(got[r], ref[r]);
-        EXPECT_LT(dm, hi) << name << " multi " << to_string(v) << " r=" << r;
-        EXPECT_GT(dm, lo) << name << " multi " << to_string(v) << " r=" << r;
+        EXPECT_LT(dm, hi) << tag() << " multi r=" << r;
+        EXPECT_GT(dm, lo) << tag() << " multi r=" << r;
       }
     }
   };
-  check(r12, "recon12", 1e-13, -1.0);
-  check(x12, "fixed12", 1e-3, 1e-9);
+  for (bool dagger : {false, true}) {
+    // The oracle: scalar kernel, full-18 links, one RHS at a time.
+    for (std::size_t r = 0; r < kRhs; ++r)
+      run_variant_fmt(ref[r], u, in[r], DslashVariant::kScalar, dagger);
+    check(r12, "recon12", dagger, 1e-13, -1.0);
+    check(x12, "fixed12", dagger, 1e-3, 1e-9);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 //
 // A well-behaved kernel: charges flops and bytes, reduces through
 // parallel_reduce, accumulates only into locally declared or subscripted
-// storage, and carries an explicit suppression where it must cast.
+// storage, reaches per-thread scratch through a reference bound outside
+// the parallel body, and carries an explicit suppression where it must
+// cast.
 
 #include <cstddef>
 #include <cstring>
@@ -28,6 +30,19 @@ void axpy_clean(std::vector<double>& y, const std::vector<double>& x,
     y[i] += a * x[i];
   });
   flops::add(2 * static_cast<long long>(y.size()));
+  flops::add_bytes(24 * static_cast<long long>(y.size()));
+}
+
+void scale_via_bound_scratch(std::vector<double>& y, double a) {
+  thread_local std::vector<double> scratch;
+  std::vector<double>& s = scratch;
+  s.assign(y.size(), a);
+  par::parallel_for_chunked(
+      0, y.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) y[i] *= s[i];
+      },
+      32);
   flops::add_bytes(24 * static_cast<long long>(y.size()));
 }
 

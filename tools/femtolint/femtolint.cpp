@@ -15,6 +15,11 @@
 //                      accumulate into the per-chunk slot (or a local),
 //                      never a captured scalar: the fixed chunk-order
 //                      combination is what makes sums reproducible
+//   thread-local-in-parallel-body
+//                      no name the file declares thread_local inside a
+//                      parallel_for* / parallel_reduce* body: a lambda
+//                      does not capture it, so each worker reads its own
+//                      instance; bind a reference outside the body
 //   no-std-rand        no std::rand / srand / rand(): kernels must use the
 //                      counter-based Xoshiro256 (reproducible per site)
 //   no-naked-new       no naked new / delete in kernel code; containers or

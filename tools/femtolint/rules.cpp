@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <sstream>
 #include <tuple>
 
@@ -90,19 +91,30 @@ bool declared_in(const Tokens& t, std::size_t b, std::size_t e,
   return false;
 }
 
-void rule_race_shared_accum(const Source& s, std::vector<Finding>& out) {
-  if (s.in_parallel_engine()) return;
-  const Tokens& t = s.lx.tokens;
+/// The body lambda of one parallel launch: `name(..., [caps](params) {
+/// body }, ...)`, as token ranges (params exclusive of the parentheses,
+/// body inclusive of the braces).
+struct LaunchBody {
+  std::string name;
+  std::size_t params_b = 0, params_e = 0;
+  std::size_t body_open = 0, body_close = 0;
+};
 
+/// Every call to one of @p names whose argument list holds a lambda: the
+/// first '[' at paren depth 1 opens the body lambda's capture list.
+std::vector<LaunchBody> launch_bodies(
+    const Tokens& t, std::initializer_list<const char*> names) {
+  std::vector<LaunchBody> found;
   for (std::size_t k = 0; k + 1 < t.size(); ++k) {
     if (t[k].kind != Tok::Ident) continue;
     const std::string& name = t[k].text;
-    if (name != "parallel_for" && name != "parallel_for_chunked") continue;
+    if (std::none_of(names.begin(), names.end(),
+                     [&](const char* n) { return name == n; }))
+      continue;
     if (!is_punct(t[k + 1], "(")) continue;
     const std::size_t call_open = k + 1;
     const std::size_t call_close = match_fwd(t, call_open);
     if (call_close >= t.size()) continue;
-    // First '[' at paren depth 1 opens the body lambda's capture list.
     std::size_t cap = t.size();
     int pd = 0;
     for (std::size_t i = call_open; i < call_close; ++i) {
@@ -117,40 +129,59 @@ void rule_race_shared_accum(const Source& s, std::vector<Finding>& out) {
     if (cap >= t.size()) continue;
     const std::size_t cap_end = match_fwd(t, cap);
     if (cap_end >= t.size()) continue;
+    LaunchBody lb;
+    lb.name = name;
     std::size_t i = cap_end + 1;
-    std::size_t params_b = i, params_e = i;
+    lb.params_b = lb.params_e = i;
     if (i < t.size() && is_punct(t[i], "(")) {
-      params_b = i + 1;
-      params_e = match_fwd(t, i);
-      if (params_e >= t.size()) continue;
-      i = params_e + 1;
+      lb.params_b = i + 1;
+      lb.params_e = match_fwd(t, i);
+      if (lb.params_e >= t.size()) continue;
+      i = lb.params_e + 1;
     }
     while (i < t.size() && t[i].kind == Tok::Ident) ++i;  // mutable etc.
     if (i >= t.size() || !is_punct(t[i], "{")) continue;
-    const std::size_t body_open = i;
-    const std::size_t body_close = match_fwd(t, body_open);
-    if (body_close >= t.size()) continue;
-
-    for (std::size_t p = body_open + 1; p < body_close; ++p) {
-      if (t[p].kind != Tok::Punct) continue;
-      const std::string& op = t[p].text;
-      if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
-      if (p == 0 || t[p - 1].kind != Tok::Ident) continue;  // yd[k] += ok
-      const std::size_t id = p - 1;
-      if (is_member_access(t, id)) continue;
-      const std::string& var = t[id].text;
-      if (declared_in(t, params_b, params_e, var)) continue;
-      if (declared_in(t, body_open + 1, p, var)) continue;
-      const int line = t[p].line;
-      if (s.suppressed("race-shared-accum", line)) continue;
-      out.push_back(
-          {s.path, line, "race-shared-accum",
-           "accumulation into captured scalar '" + var + "' inside a " +
-               name +
-               " body: a data race, and non-deterministic even if atomic; "
-               "use parallel_reduce / parallel_reduce_n"});
-    }
+    lb.body_open = i;
+    lb.body_close = match_fwd(t, i);
+    if (lb.body_close >= t.size()) continue;
+    found.push_back(lb);
   }
+  return found;
+}
+
+/// Compound assignments to a captured scalar inside @p lb's body: a name
+/// neither declared among the lambda's parameters nor earlier in the body.
+template <typename Report>
+void captured_accumulations(const Tokens& t, const LaunchBody& lb,
+                            Report report) {
+  for (std::size_t p = lb.body_open + 1; p < lb.body_close; ++p) {
+    if (t[p].kind != Tok::Punct) continue;
+    const std::string& op = t[p].text;
+    if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
+    if (p == 0 || t[p - 1].kind != Tok::Ident) continue;  // yd[k] += ok
+    const std::size_t id = p - 1;
+    if (is_member_access(t, id)) continue;
+    const std::string& var = t[id].text;
+    if (declared_in(t, lb.params_b, lb.params_e, var)) continue;
+    if (declared_in(t, lb.body_open + 1, p, var)) continue;
+    report(t[p].line, var);
+  }
+}
+
+void rule_race_shared_accum(const Source& s, std::vector<Finding>& out) {
+  if (s.in_parallel_engine()) return;
+  for (const LaunchBody& lb :
+       launch_bodies(s.lx.tokens, {"parallel_for", "parallel_for_chunked"}))
+    captured_accumulations(
+        s.lx.tokens, lb, [&](int line, const std::string& var) {
+          if (s.suppressed("race-shared-accum", line)) return;
+          out.push_back(
+              {s.path, line, "race-shared-accum",
+               "accumulation into captured scalar '" + var + "' inside a " +
+                   lb.name +
+                   " body: a data race, and non-deterministic even if "
+                   "atomic; use parallel_reduce / parallel_reduce_n"});
+        });
 }
 
 void rule_fp_accum_discipline(const Source& s, std::vector<Finding>& out) {
@@ -162,66 +193,115 @@ void rule_fp_accum_discipline(const Source& s, std::vector<Finding>& out) {
   // race-shared-accum catches in parallel_for bodies, hidden inside the
   // primitive that was supposed to prevent it.
   if (s.in_parallel_engine()) return;
-  const Tokens& t = s.lx.tokens;
+  for (const LaunchBody& lb :
+       launch_bodies(s.lx.tokens, {"parallel_reduce", "parallel_reduce2",
+                                   "parallel_reduce_n"}))
+    captured_accumulations(
+        s.lx.tokens, lb, [&](int line, const std::string& var) {
+          if (s.suppressed("fp-accumulation-discipline", line)) return;
+          out.push_back(
+              {s.path, line, "fp-accumulation-discipline",
+               "accumulation into captured scalar '" + var + "' inside a " +
+                   lb.name +
+                   " body: partials must flow through the per-chunk "
+                   "accumulator slot (or simd::sum_ordered) so the fixed "
+                   "chunk-order combination keeps the sum bitwise "
+                   "reproducible"});
+        });
+}
 
-  for (std::size_t k = 0; k + 1 < t.size(); ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    const std::string& name = t[k].text;
-    if (name != "parallel_reduce" && name != "parallel_reduce2" &&
-        name != "parallel_reduce_n")
-      continue;
-    if (!is_punct(t[k + 1], "(")) continue;
-    const std::size_t call_open = k + 1;
-    const std::size_t call_close = match_fwd(t, call_open);
-    if (call_close >= t.size()) continue;
-    // First '[' at paren depth 1 opens the chunk-body lambda's captures.
-    std::size_t cap = t.size();
-    int pd = 0;
-    for (std::size_t i = call_open; i < call_close; ++i) {
-      if (t[i].kind != Tok::Punct) continue;
-      if (t[i].text == "(") ++pd;
-      if (t[i].text == ")") --pd;
-      if (t[i].text == "[" && pd == 1) {
-        cap = i;
-        break;
+/// Names this file declares `thread_local`: every declarator of the
+/// statement the keyword opens (`thread_local T a(0), b = x;` declares a
+/// and b), skipping template arguments, constructor arguments and
+/// initializers.
+std::set<std::string> thread_local_names(const Tokens& t) {
+  std::set<std::string> names;
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    if (!is_ident(t[k], "thread_local")) continue;
+    int depth = 0, angle = 0;
+    bool in_init = false;
+    for (std::size_t i = k + 1; i < t.size(); ++i) {
+      const Token& tk = t[i];
+      if (tk.kind == Tok::Punct) {
+        const std::string& p = tk.text;
+        if (p == "(" || p == "[" || p == "{") {
+          ++depth;
+        } else if (p == ")" || p == "]" || p == "}") {
+          if (--depth < 0) break;
+        } else if (depth == 0 && angle == 0 && p == ";") {
+          break;
+        } else if (depth == 0 && angle == 0 && p == "=") {
+          in_init = true;
+        } else if (depth == 0 && angle == 0 && p == ",") {
+          in_init = false;
+        } else if (depth == 0 && !in_init) {
+          if (p == "<") ++angle;
+          if (p == ">") --angle;
+          if (p == ">>") angle -= 2;
+        }
+        continue;
       }
+      if (tk.kind != Tok::Ident || depth != 0 || angle != 0 || in_init)
+        continue;
+      if (i + 1 >= t.size() || t[i + 1].kind != Tok::Punct) continue;
+      const std::string& nx = t[i + 1].text;
+      if (nx == "=" || nx == ";" || nx == "," || nx == "(" || nx == "{" ||
+          nx == "[")
+        names.insert(tk.text);
     }
-    if (cap >= t.size()) continue;
-    const std::size_t cap_end = match_fwd(t, cap);
-    if (cap_end >= t.size()) continue;
-    std::size_t i = cap_end + 1;
-    std::size_t params_b = i, params_e = i;
-    if (i < t.size() && is_punct(t[i], "(")) {
-      params_b = i + 1;
-      params_e = match_fwd(t, i);
-      if (params_e >= t.size()) continue;
-      i = params_e + 1;
-    }
-    while (i < t.size() && t[i].kind == Tok::Ident) ++i;  // mutable etc.
-    if (i >= t.size() || !is_punct(t[i], "{")) continue;
-    const std::size_t body_open = i;
-    const std::size_t body_close = match_fwd(t, body_open);
-    if (body_close >= t.size()) continue;
+  }
+  return names;
+}
 
-    for (std::size_t p = body_open + 1; p < body_close; ++p) {
-      if (t[p].kind != Tok::Punct) continue;
-      const std::string& op = t[p].text;
-      if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
-      if (p == 0 || t[p - 1].kind != Tok::Ident) continue;  // acc[0] += ok
-      const std::size_t id = p - 1;
-      if (is_member_access(t, id)) continue;
-      const std::string& var = t[id].text;
-      if (declared_in(t, params_b, params_e, var)) continue;
-      if (declared_in(t, body_open + 1, p, var)) continue;
+/// True when t[i] is the name being declared (`T x`, `T& x`, `T<U> x`),
+/// not a use after a keyword such as `return x`.
+bool declares_here(const Tokens& t, std::size_t i) {
+  if (i == 0) return false;
+  const Token& p = t[i - 1];
+  if (p.text == ">" || p.text == ">>") return true;
+  if (p.text == "&" || p.text == "*")  // `T& x`, not `f(&x)` or `*x`
+    return i >= 2 && (t[i - 2].kind == Tok::Ident || t[i - 2].text == ">");
+  if (p.kind != Tok::Ident) return false;
+  static const char* const kNotTypes[] = {"return", "else", "case", "throw",
+                                          "co_return", "delete", "sizeof"};
+  return std::none_of(std::begin(kNotTypes), std::end(kNotTypes),
+                      [&](const char* k) { return p.text == k; });
+}
+
+void rule_thread_local_in_parallel_body(const Source& s,
+                                        std::vector<Finding>& out) {
+  // A lambda does not capture a thread_local: inside a launch body the
+  // name resolves on whichever pool worker runs the chunk, so every worker
+  // but the caller reads its own (typically never-initialised) instance.
+  // The kernel then computes with the wrong state on exactly the chunks
+  // that run off the calling thread -- invisible at one worker or at a
+  // grain that gives one chunk.  Bind a reference to the caller's instance
+  // outside the body and capture that instead.
+  if (s.in_parallel_engine()) return;
+  const Tokens& t = s.lx.tokens;
+  const std::set<std::string> tls = thread_local_names(t);
+  if (tls.empty()) return;
+  for (const LaunchBody& lb :
+       launch_bodies(t, {"parallel_for", "parallel_for_chunked",
+                         "parallel_reduce", "parallel_reduce2",
+                         "parallel_reduce_n"})) {
+    std::set<std::pair<int, std::string>> seen;
+    for (std::size_t p = lb.body_open + 1; p < lb.body_close; ++p) {
+      if (t[p].kind != Tok::Ident || !tls.count(t[p].text)) continue;
+      if (is_punct(t[p - 1], ".") || is_punct(t[p - 1], "->")) continue;
+      const std::string& var = t[p].text;
+      if (declared_in(t, lb.params_b, lb.params_e, var)) continue;
+      if (declared_in(t, lb.body_open + 1, p, var)) continue;
+      if (declares_here(t, p)) continue;  // a body-local shadow
       const int line = t[p].line;
-      if (s.suppressed("fp-accumulation-discipline", line)) continue;
+      if (!seen.insert({line, var}).second) continue;
+      if (s.suppressed("thread-local-in-parallel-body", line)) continue;
       out.push_back(
-          {s.path, line, "fp-accumulation-discipline",
-           "accumulation into captured scalar '" + var + "' inside a " +
-               name +
-               " body: partials must flow through the per-chunk accumulator "
-               "slot (or simd::sum_ordered) so the fixed chunk-order "
-               "combination keeps the sum bitwise reproducible"});
+          {s.path, line, "thread-local-in-parallel-body",
+           "thread_local '" + var + "' named inside a " + lb.name +
+               " body: each pool worker reads its own instance, not the "
+               "caller's; bind a reference outside the body and capture "
+               "that"});
     }
   }
 }
@@ -783,6 +863,7 @@ std::string module_of(const Source& s, const LayerSpec& spec) {
 void run_file_rules(const Source& s, std::vector<Finding>& out) {
   rule_race_shared_accum(s, out);
   rule_fp_accum_discipline(s, out);
+  rule_thread_local_in_parallel_body(s, out);
   rule_no_std_rand(s, out);
   rule_no_naked_new(s, out);
   rule_pragma_once(s, out);
