@@ -43,11 +43,7 @@ MobiusOperator<T>::MobiusOperator(std::shared_ptr<const GaugeField<T>> u,
     : tiers_(std::move(u)),
       params_(params),
       tune_(tune),
-      tmp_e_(geom_ptr(), params.l5, Subset::Even),
-      tmp_e2_(geom_ptr(), params.l5, Subset::Even),
-      tmp_o_(geom_ptr(), params.l5, Subset::Odd),
-      tmp_f_(geom_ptr(), params.l5, Subset::Full),
-      tmp_f2_(geom_ptr(), params.l5, Subset::Full) {
+      tmp_f_(geom_ptr(), params.l5, Subset::Full) {
   const int l5 = params_.l5;
   const double a = 4.0 + params_.m5;
   lambda_ = affine_lambda(l5, params_.mf, 0.0, 1.0);
@@ -116,35 +112,17 @@ template <typename T>
 void MobiusOperator<T>::apply_schur(SpinorField<T>& out,
                                     const SpinorField<T>& in,
                                     bool dagger) const {
-  assert(out.subset() == Subset::Odd && in.subset() == Subset::Odd);
-  if (!dagger) {
-    // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, applied right to left.
-    b_.apply<T>(view(tmp_o_), view(in));
-    dslash_fmt(view(tmp_e_), cview(tmp_o_), /*out_parity=*/0, false);
-    bcinv_.apply<T>(view(tmp_e2_), cview(tmp_e_));
-    dslash_fmt(view(out), cview(tmp_e2_), /*out_parity=*/1, false);
-    // out = C in - 1/4 out
-    c_.apply<T>(view(tmp_o_), view(in));
-  } else {
-    // Mhat^dag = C^T - 1/4 B^T Dslash^dag (B C^-1)^T Dslash^dag, applied
-    // right to left; the dagger dslash kernel with out parity p computes
-    // the (p, 1-p) block of Dslash^dag.
-    dslash_fmt(view(tmp_e_), view(in), /*out_parity=*/0, true);
-    bcinvt_.apply<T>(view(tmp_e2_), cview(tmp_e_));
-    dslash_fmt(view(tmp_o_), cview(tmp_e2_), /*out_parity=*/1, true);
-    bt_.apply<T>(view(out), cview(tmp_o_));
-    ct_.apply<T>(view(tmp_o_), view(in));
-  }
-  blas::axpby<T>(1.0, tmp_o_, -0.25, out);
+  SpinorField<T>* o[1] = {&out};
+  const SpinorField<T>* i[1] = {&in};
+  apply_schur_multi(o, i, dagger);
 }
 
 template <typename T>
 void MobiusOperator<T>::apply_normal(SpinorField<T>& out,
                                      const SpinorField<T>& in) const {
-  assert(out.subset() == Subset::Odd && in.subset() == Subset::Odd);
-  if (!tmp_mid_) tmp_mid_.emplace(geom_ptr(), params_.l5, Subset::Odd);
-  apply_schur(*tmp_mid_, in, false);
-  apply_schur(out, *tmp_mid_, true);
+  SpinorField<T>* o[1] = {&out};
+  const SpinorField<T>* i[1] = {&in};
+  apply_normal_multi(o, i);
 }
 
 template <typename T>
@@ -184,8 +162,8 @@ void MobiusOperator<T>::apply_schur_multi(
   // Every stage is one launch over the whole batch: the dslash stages load
   // each site's links once for all RHSs, the site-diagonal fifth-dim
   // matvecs and the closing update run over (RHS x site).  Each RHS sees
-  // the same per-site arithmetic as apply_schur, so the batch never moves
-  // a bit of its answer.
+  // the same per-site arithmetic whatever the batch, so the batch never
+  // moves a bit of its answer.
   if (!dagger) {
     // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, applied right to left.
     b_.apply<T>(vo, cvin);
@@ -226,13 +204,16 @@ void MobiusOperator<T>::prepare_source(SpinorField<T>& bhat_odd,
                                        const SpinorField<T>& b_full) const {
   assert(bhat_odd.subset() == Subset::Odd);
   assert(b_full.subset() == Subset::Full);
+  ensure_multi(1);
+  SpinorField<T>& tmp_e = mtmp_e_[0];
+  SpinorField<T>& tmp_o = mtmp_o_[0];
   // tmp_e = (B C^-1) b_e
-  bcinv_.apply<T>(view(tmp_e_), parity_view(b_full, 0));
+  bcinv_.apply<T>(view(tmp_e), parity_view(b_full, 0));
   // bhat = Dslash_oe tmp_e
-  dslash_fmt(view(bhat_odd), cview(tmp_e_), /*out_parity=*/1, false);
-  // bhat = b_o + 1/2 bhat, with the odd half of b copied to tmp_o_ first.
-  copy_sites<T>(view(tmp_o_), parity_view(b_full, 1));
-  blas::axpby<T>(1.0, tmp_o_, 0.5, bhat_odd);
+  dslash_fmt(view(bhat_odd), cview(tmp_e), /*out_parity=*/1, false);
+  // bhat = b_o + 1/2 bhat, with the odd half of b copied to tmp_o first.
+  copy_sites<T>(view(tmp_o), parity_view(b_full, 1));
+  blas::axpby<T>(1.0, tmp_o, 0.5, bhat_odd);
 }
 
 template <typename T>
@@ -240,14 +221,18 @@ void MobiusOperator<T>::reconstruct(SpinorField<T>& x_full,
                                     const SpinorField<T>& x_odd,
                                     const SpinorField<T>& b_full) const {
   assert(x_full.subset() == Subset::Full && x_odd.subset() == Subset::Odd);
+  ensure_multi(1);
+  SpinorField<T>& tmp_e = mtmp_e_[0];
+  SpinorField<T>& tmp_e2 = mtmp_e2_[0];
+  SpinorField<T>& tmp_o = mtmp_o_[0];
   // tmp_o = B x_o ; tmp_e = Dslash_eo tmp_o
-  b_.apply<T>(view(tmp_o_), view(x_odd));
-  dslash_fmt(view(tmp_e_), cview(tmp_o_), /*out_parity=*/0, false);
+  b_.apply<T>(view(tmp_o), view(x_odd));
+  dslash_fmt(view(tmp_e), cview(tmp_o), /*out_parity=*/0, false);
   // tmp_e = b_e + 1/2 tmp_e
-  copy_sites<T>(view(tmp_e2_), parity_view(b_full, 0));
-  blas::axpby<T>(1.0, tmp_e2_, 0.5, tmp_e_);
+  copy_sites<T>(view(tmp_e2), parity_view(b_full, 0));
+  blas::axpby<T>(1.0, tmp_e2, 0.5, tmp_e);
   // x_e = C^-1 tmp_e
-  cinv_.apply<T>(parity_view(x_full, 0), cview(tmp_e_));
+  cinv_.apply<T>(parity_view(x_full, 0), cview(tmp_e));
   // x_o = x_odd
   copy_sites<T>(parity_view(x_full, 1), view(x_odd));
 }

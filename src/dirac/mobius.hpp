@@ -29,7 +29,6 @@
 // is reconstructed as x_e = C^-1 (b_e + 1/2 Dslash_eo B x_o).
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,19 +72,20 @@ class MobiusOperator {
   void apply_full(SpinorField<T>& out, const SpinorField<T>& in,
                   bool dagger = false) const;
 
-  /// Schur-complement operator Mhat on Subset::Odd fields.
+  /// Schur-complement operator Mhat on Subset::Odd fields: the batch of
+  /// one of apply_schur_multi.
   void apply_schur(SpinorField<T>& out, const SpinorField<T>& in,
                    bool dagger = false) const;
 
   /// Normal operator Mhat^dag Mhat on Subset::Odd fields (what CGNE
-  /// inverts).
+  /// inverts): the batch of one of apply_normal_multi.
   void apply_normal(SpinorField<T>& out, const SpinorField<T>& in) const;
 
   /// Batched Schur operator over B right-hand sides: each stage is one
   /// launch over the whole batch (the two dslash stages through
   /// dslash_multi, links loaded once per block; the fifth-dim stages and
   /// the closing update over RHS x site).  Per-RHS output is bitwise
-  /// identical to apply_schur on the same field, whatever the batch.
+  /// identical whatever the batch, so it equals apply_schur on that field.
   void apply_schur_multi(std::span<SpinorField<T>* const> out,
                          std::span<const SpinorField<T>* const> in,
                          bool dagger = false) const;
@@ -129,14 +129,11 @@ class MobiusOperator {
   FifthDimOp lambda_, b_, c_, cinv_, bcinv_;
   FifthDimOp bt_, ct_, bcinvt_;  // transposes for the dagger application
   // Workspaces (documented non-thread-safe: one solve per operator).
-  mutable SpinorField<T> tmp_e_, tmp_e2_, tmp_o_;
-  // M x between apply_normal's two halves, built on first use like the
-  // batched workspaces below (operators that never apply the single-RHS
-  // normal operator never hold it).
-  mutable std::optional<SpinorField<T>> tmp_mid_;
-  mutable SpinorField<T> tmp_f_, tmp_f2_;
-  // Per-RHS workspaces for the batched applications, grown on demand to
-  // the largest batch seen (same non-thread-safe contract).
+  // tmp_f_ serves apply_full; the per-RHS sets below serve the Schur and
+  // normal operators (entry 0 also serves prepare_source and reconstruct)
+  // and are grown on demand to the largest batch seen, so an operator
+  // that only applies apply_full never holds them.
+  mutable SpinorField<T> tmp_f_;
   void ensure_multi(std::size_t n) const;
   mutable std::vector<SpinorField<T>> mtmp_e_, mtmp_e2_, mtmp_o_, mtmp_mid_;
 };

@@ -487,54 +487,6 @@ void dslash_multi_body_blocked(WidthTag<W>, std::span<const SpinorView<T>> out,
   flops::add_bytes(2 * plain_bytes + bin.bytes() + bout.bytes());
 }
 
-/// Batched dispatch + traffic model.  The flop charge scales with B; the
-/// compulsory byte charge streams each per-RHS spinor pair but the gauge
-/// field ONCE per block — the amortization the femtoscope AI derivation
-/// sees (bytes/site(B) in DESIGN.md §12).
-template <typename T, typename GaugeT>
-void dslash_kernel_multi(std::span<const SpinorView<T>> out, const GaugeT& u,
-                         std::span<const SpinorView<const T>> in,
-                         int out_parity, bool dagger,
-                         const DslashTuning& tune) {
-  FEMTO_TRACE_SCOPE("dirac", "dslash_multi");
-  const std::size_t nb = out.size();
-  if (nb == 0) return;
-  FEMTO_ASSERT(in.size() == nb);
-  for (std::size_t r = 0; r < nb; ++r) {
-    FEMTO_ASSERT(out[r].l5 == out[0].l5 && in[r].l5 == out[0].l5);
-    FEMTO_ASSERT(out[r].sites == out[0].sites && in[r].sites == in[0].sites);
-    FEMTO_ASSERT(out[r].stride == out[0].stride &&
-                 in[r].stride == in[0].stride);
-  }
-  constexpr int W = simd::kWidth<T>;
-  switch (tune.variant) {
-    case DslashVariant::kVector:
-      dslash_multi_body_vector(WidthTag<W>{}, out, u, in, out_parity, dagger,
-                               tune.grain);
-      break;
-    case DslashVariant::kVectorBlocked:
-      dslash_multi_body_blocked(WidthTag<W>{}, out, u, in, out_parity,
-                                dagger, tune.grain);
-      break;
-    default:
-      dslash_multi_body_scalar(out, u, in, out_parity, dagger, tune.grain);
-      break;
-  }
-
-  const std::int64_t volh = u.geom().half_volume();
-  const int l5 = out[0].l5;
-  flops::add(static_cast<std::int64_t>(nb) * flops::kWilsonDslashPerSite *
-             volh * l5);
-  // Compulsory traffic: each RHS streams its input parity in and output
-  // parity out, but the gauge field is gathered once per SITE for the
-  // whole block (SiteLinks hoisted above the RHS loop) — links cost
-  // u.bytes() per batched call, not per RHS.
-  const std::int64_t spinor_bytes =
-      volh * l5 * kSpinorReals * static_cast<std::int64_t>(sizeof(T));
-  flops::add_bytes(static_cast<std::int64_t>(nb) * 2 * spinor_bytes +
-                   u.bytes());
-}
-
 /// The stencil body, generic over the gauge container (full 18-real
 /// storage or a compressed tier) — the container's load() is the only
 /// thing that differs.  Dispatches on the tuned variant; the vector
@@ -568,6 +520,66 @@ void dslash_kernel(const SpinorView<T>& out, const GaugeT& u,
   const std::int64_t spinor_bytes =
       volh * l5 * kSpinorReals * static_cast<std::int64_t>(sizeof(T));
   flops::add_bytes(2 * spinor_bytes + u.bytes());
+}
+
+/// Batched dispatch + traffic model.  The flop charge scales with B; the
+/// compulsory byte charge streams each per-RHS spinor pair but the gauge
+/// field ONCE per block — the amortization the femtoscope AI derivation
+/// sees (bytes/site(B) in DESIGN.md §12).
+///
+/// A batch of one runs the single-RHS kernel: the RHS-lane vector body
+/// would leave W-1 lanes empty, and the blocked body would pack l5 lane
+/// blocks of W RHS lanes instead of ceil(l5/W) blocks of s5 lanes.  The
+/// s5-lane kernel is also the one DwfSolver::autotune() times.  The bits
+/// are the batched bodies' (DESIGN.md §12), and so is the compulsory byte
+/// charge; the blocked variant charges the single kernel's smaller pack
+/// and unpack traffic.
+template <typename T, typename GaugeT>
+void dslash_kernel_multi(std::span<const SpinorView<T>> out, const GaugeT& u,
+                         std::span<const SpinorView<const T>> in,
+                         int out_parity, bool dagger,
+                         const DslashTuning& tune) {
+  const std::size_t nb = out.size();
+  if (nb == 0) return;
+  FEMTO_ASSERT(in.size() == nb);
+  if (nb == 1) {
+    dslash_kernel<T>(out[0], u, in[0], out_parity, dagger, tune);
+    return;
+  }
+  FEMTO_TRACE_SCOPE("dirac", "dslash_multi");
+  for (std::size_t r = 0; r < nb; ++r) {
+    FEMTO_ASSERT(out[r].l5 == out[0].l5 && in[r].l5 == out[0].l5);
+    FEMTO_ASSERT(out[r].sites == out[0].sites && in[r].sites == in[0].sites);
+    FEMTO_ASSERT(out[r].stride == out[0].stride &&
+                 in[r].stride == in[0].stride);
+  }
+  constexpr int W = simd::kWidth<T>;
+  switch (tune.variant) {
+    case DslashVariant::kVector:
+      dslash_multi_body_vector(WidthTag<W>{}, out, u, in, out_parity, dagger,
+                               tune.grain);
+      break;
+    case DslashVariant::kVectorBlocked:
+      dslash_multi_body_blocked(WidthTag<W>{}, out, u, in, out_parity,
+                                dagger, tune.grain);
+      break;
+    default:
+      dslash_multi_body_scalar(out, u, in, out_parity, dagger, tune.grain);
+      break;
+  }
+
+  const std::int64_t volh = u.geom().half_volume();
+  const int l5 = out[0].l5;
+  flops::add(static_cast<std::int64_t>(nb) * flops::kWilsonDslashPerSite *
+             volh * l5);
+  // Compulsory traffic: each RHS streams its input parity in and output
+  // parity out, but the gauge field is gathered once per SITE for the
+  // whole block (SiteLinks hoisted above the RHS loop) — links cost
+  // u.bytes() per batched call, not per RHS.
+  const std::int64_t spinor_bytes =
+      volh * l5 * kSpinorReals * static_cast<std::int64_t>(sizeof(T));
+  flops::add_bytes(static_cast<std::int64_t>(nb) * 2 * spinor_bytes +
+                   u.bytes());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/check.hpp"
 #include "lattice/flops.hpp"
@@ -18,6 +20,8 @@ std::size_t resolve_grain(std::size_t blas_grain) {
   return blas_grain == 0 ? blas::kGrain : blas_grain;
 }
 
+// The half kernels chunk over 24-real blocks, not reals; derive their grain
+// from the BLAS grain so one tunable covers both.
 std::size_t half_grain(std::size_t blas_grain) {
   if (blas_grain == 0) return HalfSpinorField::kHalfGrain;
   return std::max<std::size_t>(1, blas_grain / kSpinorReals);
@@ -43,7 +47,8 @@ std::vector<const SpinorField<T>*> cselect(std::vector<SpinorField<T>>& fs,
 }
 
 /// Split the joint flop/byte/wall totals equally across the block and
-/// record each RHS (see header: block work is joint, counters global).
+/// record each RHS under @p name (see header: block work is joint,
+/// counters global).
 void finalize_block(std::vector<SolveResult>& results, const char* name,
                     double seconds, std::int64_t flops_total,
                     std::int64_t bytes_total) {
@@ -56,15 +61,33 @@ void finalize_block(std::vector<SolveResult>& results, const char* name,
   }
 }
 
-}  // namespace
+/// "<solver>: <what>", a FEMTO_CHECK text; built only when a check fails.
+std::string check_text(const char* solver, const char* what) {
+  return std::string(solver) + ": " + what;
+}
+
+/// A single-RHS ApplyFn as the MultiApplyFn of a batch of one.
+template <typename T>
+MultiApplyFn<T> per_rhs(const ApplyFn<T>& a) {
+  return [&a](std::span<SpinorField<T>* const> out,
+              std::span<const SpinorField<T>* const> in) {
+    for (std::size_t r = 0; r < out.size(); ++r) a(*out[r], *in[r]);
+  };
+}
+
+// The one implementation of each solver.  @p name is what the solve
+// reports as everywhere — trace span, SolveRecord, log line and
+// FEMTO_CHECK texts — so the single-RHS forwards at the end of this file
+// keep reporting as cg / mixed_cg.
 
 template <typename T>
-std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
-                                  std::span<SpinorField<T>* const> x,
-                                  std::span<const SpinorField<T>* const> b,
-                                  double tol, int max_iter,
-                                  std::size_t blas_grain) {
-  FEMTO_TRACE_SCOPE("solver", "block_cg");
+std::vector<SolveResult> run_block_cg(const char* name,
+                                      const MultiApplyFn<T>& a,
+                                      std::span<SpinorField<T>* const> x,
+                                      std::span<const SpinorField<T>* const> b,
+                                      double tol, int max_iter,
+                                      std::size_t blas_grain) {
+  FEMTO_TRACE_SCOPE("solver", name);
   const std::size_t nb = x.size();
   FEMTO_ASSERT(b.size() == nb);
   std::vector<SolveResult> results(nb);
@@ -94,7 +117,7 @@ std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
     blas::norm2_multi<T>(xp, xn, g);
   }
   // Warm starts: r = b - A x for the RHSs with a nonzero guess (the same
-  // skip-if-zero convention as cg(), batched over the warm subset).
+  // skip-if-zero convention for every RHS, batched over the warm subset).
   std::vector<std::size_t> warm;
   for (std::size_t i = 0; i < nb; ++i) {
     rsq[i] = b2[i];
@@ -140,8 +163,10 @@ std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
     blas::axpy_norm2_multi<T>(malpha, cselect(ap, active), ra, rsq_new, g);
     for (std::size_t k = 0; k < na; ++k) {
       FEMTO_CHECK(std::isfinite(rsq_new[k]),
-                  "block_cg: residual norm went NaN/Inf (diverging operator "
-                  "or corrupt field data)");
+                  check_text(name,
+                             "residual norm went NaN/Inf (diverging operator "
+                             "or corrupt field data)")
+                      .c_str());
       beta[k] = rsq_new[k] / rsq[active[k]];
       rsq[active[k]] = rsq_new[k];
     }
@@ -166,17 +191,14 @@ std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
     results[i].converged = rsq[i] <= target[i];
     results[i].final_rel_residual = std::sqrt(rsq[i] / b2[i]);
   }
-  finalize_block(results, "block_cg",
-                 sw.seconds(),
-                 flops::get() - flops0, flops::bytes() - bytes0);
+  finalize_block(results, name, sw.seconds(), flops::get() - flops0,
+                 flops::bytes() - bytes0);
   return results;
 }
 
-namespace {
-
 /// Per-RHS state of the block mixed-precision solve: the outer double
 /// residual, the sloppy vectors, the 16-bit store, and the scalar
-/// recurrence — everything a solo mixed_cg would keep on its stack.
+/// recurrence.
 struct MixedRhs {
   SpinorField<double> r_d, tmp_d;
   SpinorField<float> r_s, p_s, ap_s, xs;
@@ -197,14 +219,13 @@ struct MixedRhs {
         hstore(b.geom_ptr(), b.l5(), b.subset()) {}
 };
 
-}  // namespace
-
-std::vector<SolveResult> block_mixed_cg(
-    const MultiApplyFn<double>& a_double, const MultiApplyFn<float>& a_single,
+std::vector<SolveResult> run_block_mixed_cg(
+    const char* name, const MultiApplyFn<double>& a_double,
+    const MultiApplyFn<float>& a_single,
     std::span<SpinorField<double>* const> x,
     std::span<const SpinorField<double>* const> b,
     const SolverParams& params) {
-  FEMTO_TRACE_SCOPE("solver", "block_mixed_cg");
+  FEMTO_TRACE_SCOPE("solver", name);
   const std::size_t nb = x.size();
   FEMTO_ASSERT(b.size() == nb);
   std::vector<SolveResult> results(nb);
@@ -252,8 +273,9 @@ std::vector<SolveResult> block_mixed_cg(
     }
   }
 
-  // (Re)start one RHS's inner solve from its true residual — identical to
-  // the restart block at the top of mixed_cg's outer loop.
+  // (Re)start one RHS's inner solve from its true residual.  In half mode
+  // the demoted residual is round-tripped through 16-bit storage and its
+  // norm taken in the same pass.
   auto start_inner = [&](MixedRhs& s) {
     blas::copy(s.r_s, s.r_d, g);
     s.rsq = half ? s.hstore.roundtrip_norm2(s.r_s, hg)
@@ -277,8 +299,10 @@ std::vector<SolveResult> block_mixed_cg(
     blas::copy(s.r_d, *b[i], g);
     s.r2_d = blas::axpy_norm2<double>(-1.0, s.tmp_d, s.r_d, g);
     FEMTO_CHECK(std::isfinite(s.r2_d),
-                "block_mixed_cg: true residual norm went NaN/Inf at a "
-                "reliable update");
+                check_text(name,
+                           "true residual norm went NaN/Inf at a reliable "
+                           "update")
+                    .c_str());
     ++res.reliable_updates;
     res.history.push_back({res.iterations,
                            s.b2 > 0.0 ? std::sqrt(s.r2_d / s.b2) : 0.0,
@@ -286,9 +310,10 @@ std::vector<SolveResult> block_mixed_cg(
   };
 
   // Advance one RHS's control flow until it either joins the next sloppy
-  // batch (returns true) or finishes.  This replays mixed_cg's loop nest
-  // exactly: inner-continue test, reliable update on inner exit, outer
-  // convergence test, restart.
+  // batch (returns true) or finishes.  Per RHS this is the loop nest of a
+  // solo mixed-precision CG: inner-continue test, reliable update on inner
+  // exit, outer convergence test, restart.  Each RHS steps through it on
+  // its own scalars, so batch-mates never change its trajectory.
   auto ready = [&](std::size_t i) -> bool {
     MixedRhs& s = st[i];
     SolveResult& res = results[i];
@@ -303,8 +328,7 @@ std::vector<SolveResult> block_mixed_cg(
       s.breakdown = false;
       reliable_update(i);
       // A zero-length inner solve means the target sits below the sloppy
-      // precision floor; stop rather than spin (mixed_cg's `inner == 0`
-      // break).
+      // precision floor; stop rather than spin.
       if (s.inner == 0 || s.r2_d <= s.target ||
           res.iterations >= params.max_iter) {
         s.done = true;
@@ -341,8 +365,8 @@ std::vector<SolveResult> block_mixed_cg(
     std::vector<double> pap(na);
     blas::redot_multi<float>(cbp, cbap, pap, g);
 
-    // Sloppy breakdowns leave the stepping subset (mixed_cg's inner
-    // `break`); everyone else takes the fused vector updates.
+    // Sloppy breakdowns (pAp <= 0) leave the stepping subset and take a
+    // reliable update next; everyone else takes the fused vector updates.
     std::vector<std::size_t> step;
     for (std::size_t k = 0; k < na; ++k) {
       const std::size_t i = batch[k];
@@ -384,7 +408,8 @@ std::vector<SolveResult> block_mixed_cg(
     for (std::size_t m = 0; m < step.size(); ++m) {
       MixedRhs& s = st[batch[step[m]]];
       FEMTO_CHECK(std::isfinite(rsq_new[m]),
-                  "block_mixed_cg: sloppy residual norm went NaN/Inf");
+                  check_text(name, "sloppy residual norm went NaN/Inf")
+                      .c_str());
       beta[m] = rsq_new[m] / s.rsq;
       s.rsq = rsq_new[m];
     }
@@ -415,12 +440,61 @@ std::vector<SolveResult> block_mixed_cg(
     results[i].converged = st[i].r2_d <= st[i].target;
     results[i].final_rel_residual = std::sqrt(st[i].r2_d / st[i].b2);
   }
-  finalize_block(results, "block_mixed_cg",
-                 sw.seconds(),
-                 flops::get() - flops0, flops::bytes() - bytes0);
+  finalize_block(results, name, sw.seconds(), flops::get() - flops0,
+                 flops::bytes() - bytes0);
   return results;
 }
 
+}  // namespace
+
+template <typename T>
+std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
+                                  std::span<SpinorField<T>* const> x,
+                                  std::span<const SpinorField<T>* const> b,
+                                  double tol, int max_iter,
+                                  std::size_t blas_grain) {
+  return run_block_cg<T>("block_cg", a, x, b, tol, max_iter, blas_grain);
+}
+
+std::vector<SolveResult> block_mixed_cg(
+    const MultiApplyFn<double>& a_double, const MultiApplyFn<float>& a_single,
+    std::span<SpinorField<double>* const> x,
+    std::span<const SpinorField<double>* const> b,
+    const SolverParams& params) {
+  return run_block_mixed_cg("block_mixed_cg", a_double, a_single, x, b,
+                            params);
+}
+
+// The single-RHS solvers are the batch of one.
+
+template <typename T>
+SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
+               const SpinorField<T>& b, double tol, int max_iter,
+               std::size_t blas_grain) {
+  SpinorField<T>* xp[1] = {&x};
+  const SpinorField<T>* bp[1] = {&b};
+  auto res = run_block_cg<T>("cg", per_rhs(a), xp, bp, tol, max_iter,
+                             blas_grain);
+  return std::move(res[0]);
+}
+
+SolveResult mixed_cg(const ApplyFn<double>& a_double,
+                     const ApplyFn<float>& a_single,
+                     SpinorField<double>& x, const SpinorField<double>& b,
+                     const SolverParams& params) {
+  SpinorField<double>* xp[1] = {&x};
+  const SpinorField<double>* bp[1] = {&b};
+  auto res = run_block_mixed_cg("mixed_cg", per_rhs(a_double),
+                                per_rhs(a_single), xp, bp, params);
+  return std::move(res[0]);
+}
+
+template SolveResult cg<double>(const ApplyFn<double>&, SpinorField<double>&,
+                                const SpinorField<double>&, double, int,
+                                std::size_t);
+template SolveResult cg<float>(const ApplyFn<float>&, SpinorField<float>&,
+                               const SpinorField<float>&, double, int,
+                               std::size_t);
 template std::vector<SolveResult> block_cg<double>(
     const MultiApplyFn<double>&, std::span<SpinorField<double>* const>,
     std::span<const SpinorField<double>* const>, double, int, std::size_t);

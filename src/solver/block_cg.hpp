@@ -10,8 +10,9 @@
 // is the per-RHS convergence contract:
 //
 //   Every RHS produces bitwise the SAME iterates, iteration count, and
-//   residual history it would produce in a solo cg / mixed_cg call at the
-//   same grain — independent of which other RHSs share the batch.
+//   residual history whichever other RHSs share the batch, at the same
+//   grain.  The single-RHS cg / mixed_cg are these solvers on a batch of
+//   one, so that is also the answer of a solo solve.
 //
 // That contract is what lets the SolveService batch greedily: adding or
 // removing a request from a batch can never change another request's
@@ -34,9 +35,9 @@
 
 namespace femto {
 
-/// Batched y_r = A x_r application in precision T, r = 0..B-1.  Must be
-/// per-RHS bitwise identical to the corresponding ApplyFn for the
-/// convergence contract to hold (MobiusOperator::apply_normal_multi is).
+/// Batched y_r = A x_r application in precision T, r = 0..B-1.  Each
+/// y_r must not depend on the other RHSs for the convergence contract to
+/// hold (MobiusOperator::apply_normal_multi does not).
 template <typename T>
 using MultiApplyFn = std::function<void(
     std::span<SpinorField<T>* const>, std::span<const SpinorField<T>* const>)>;

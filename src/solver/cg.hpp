@@ -94,6 +94,8 @@ struct SolveResult {
 /// single-pass kernels (axpy_norm2, axpy_zpbx), so each iteration makes 3
 /// full-field BLAS sweeps beyond the matvec instead of the naive 5.
 /// @p blas_grain: chunk grain for those kernels (0 = blas::kGrain).
+/// This is block_cg (solver/block_cg.hpp) on a batch of one, reported
+/// under the name "cg".
 template <typename T>
 SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
                const SpinorField<T>& b, double tol, int max_iter,
@@ -103,7 +105,8 @@ SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
 /// double and recomputed with @p a_double; inner CG iterations run in
 /// single precision via @p a_single, optionally with every inner vector
 /// round-tripped through 16-bit fixed-point storage (Precision::Half),
-/// which is the paper's production configuration.
+/// which is the paper's production configuration.  This is block_mixed_cg
+/// on a batch of one, reported under the name "mixed_cg".
 SolveResult mixed_cg(const ApplyFn<double>& a_double,
                      const ApplyFn<float>& a_single,
                      SpinorField<double>& x, const SpinorField<double>& b,

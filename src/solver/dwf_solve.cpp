@@ -10,6 +10,26 @@
 
 namespace femto {
 
+namespace {
+
+/// The normal operator Mhat^dag Mhat as a solver's matvec.
+template <typename T>
+ApplyFn<T> normal_op(const MobiusOperator<T>& op) {
+  return [&op](SpinorField<T>& out, const SpinorField<T>& in) {
+    op.apply_normal(out, in);
+  };
+}
+
+template <typename T>
+MultiApplyFn<T> normal_multi_op(const MobiusOperator<T>& op) {
+  return [&op](std::span<SpinorField<T>* const> out,
+               std::span<const SpinorField<T>* const> in) {
+    op.apply_normal_multi(out, in);
+  };
+}
+
+}  // namespace
+
 void DwfSolver::autotune() {
   FEMTO_TRACE_SCOPE("autotune", "dwf_solver_autotune");
   // Reliable updates are pinned to full-18 double links (accuracy
@@ -75,116 +95,24 @@ DwfSolver::DwfSolver(std::shared_ptr<const GaugeField<double>> u,
   op_f_.tuning().format = sparams_.gauge_format;
 }
 
-SolveResult DwfSolver::solve(SpinorField<double>& x,
-                             const SpinorField<double>& b) {
-  FEMTO_TRACE_SCOPE("solver", "dwf_solve");
-  assert(x.subset() == Subset::Full && b.subset() == Subset::Full);
-  // solver_params() is mutable: pick up a caller-set gauge_format.
-  op_f_.tuning().format = sparams_.gauge_format;
-  const auto geom = b.geom_ptr();
-  const int l5 = b.l5();
-
-  SpinorField<double> bhat(geom, l5, Subset::Odd);
-  op_d_.prepare_source(bhat, b);
-
-  // CGNE right-hand side: Mhat^dag bhat.
-  SpinorField<double> rhs(geom, l5, Subset::Odd);
-  op_d_.apply_schur(rhs, bhat, /*dagger=*/true);
-
-  ApplyFn<double> a_d = [this](SpinorField<double>& out,
-                               const SpinorField<double>& in) {
-    op_d_.apply_normal(out, in);
-  };
-  ApplyFn<float> a_f = [this](SpinorField<float>& out,
-                              const SpinorField<float>& in) {
-    op_f_.apply_normal(out, in);
-  };
-
-  SpinorField<double> y(geom, l5, Subset::Odd);
-  SolveResult res = mixed_cg(a_d, a_f, y, rhs, sparams_);
-  FEMTO_CHECK(std::isfinite(res.final_rel_residual),
-              "DwfSolver::solve: mixed_cg returned a non-finite residual");
-
-  op_d_.reconstruct(x, y, b);
-  return res;
-}
-
-std::vector<SolveResult> DwfSolver::solve_multi(
+std::vector<SolveResult> DwfSolver::solve_batch(
     std::span<SpinorField<double>* const> x,
-    std::span<const SpinorField<double>* const> b) {
-  FEMTO_TRACE_SCOPE("solver", "dwf_solve_multi");
+    std::span<const SpinorField<double>* const> b, const CgneFn& cgne,
+    const char* nonfinite_msg) {
+  // solver_params() is mutable: pick up a caller-set gauge_format.
   op_f_.tuning().format = sparams_.gauge_format;
   const std::size_t nb = x.size();
   FEMTO_ASSERT(b.size() == nb);
   if (nb == 0) return {};
   const auto geom = b[0]->geom_ptr();
   const int l5 = b[0]->l5();
-  for (std::size_t r = 0; r < nb; ++r) {
-    assert(x[r]->subset() == Subset::Full && b[r]->subset() == Subset::Full);
-  }
 
   // Source prep stays per RHS (one-time cost); the CGNE right-hand sides
   // Mhat^dag bhat_r batch through the multi Schur operator.
-  std::vector<SpinorField<double>> bhat, rhs;
-  bhat.reserve(nb);
-  rhs.reserve(nb);
-  std::vector<SpinorField<double>*> rhsp;
-  std::vector<const SpinorField<double>*> cbhatp;
-  for (std::size_t r = 0; r < nb; ++r) {
-    bhat.emplace_back(geom, l5, Subset::Odd);
-    rhs.emplace_back(geom, l5, Subset::Odd);
-    op_d_.prepare_source(bhat.back(), *b[r]);
-  }
-  for (std::size_t r = 0; r < nb; ++r) {
-    rhsp.push_back(&rhs[r]);
-    cbhatp.push_back(&bhat[r]);
-  }
-  op_d_.apply_schur_multi(rhsp, cbhatp, /*dagger=*/true);
-
-  MultiApplyFn<double> a_d = [this](
-                                 std::span<SpinorField<double>* const> out,
-                                 std::span<const SpinorField<double>* const>
-                                     in) { op_d_.apply_normal_multi(out, in); };
-  MultiApplyFn<float> a_f = [this](
-                                std::span<SpinorField<float>* const> out,
-                                std::span<const SpinorField<float>* const>
-                                    in) { op_f_.apply_normal_multi(out, in); };
-
-  std::vector<SpinorField<double>> y;
-  y.reserve(nb);
-  std::vector<SpinorField<double>*> yp;
-  std::vector<const SpinorField<double>*> crhsp;
-  for (std::size_t r = 0; r < nb; ++r) {
-    y.emplace_back(geom, l5, Subset::Odd);
-    crhsp.push_back(&rhs[r]);
-  }
-  for (std::size_t r = 0; r < nb; ++r) yp.push_back(&y[r]);
-  std::vector<SolveResult> res = block_mixed_cg(a_d, a_f, yp, crhsp, sparams_);
-  for (std::size_t r = 0; r < nb; ++r) {
-    FEMTO_CHECK(std::isfinite(res[r].final_rel_residual),
-                "DwfSolver::solve_multi: block_mixed_cg returned a "
-                "non-finite residual");
-    op_d_.reconstruct(*x[r], y[r], *b[r]);
-  }
-  return res;
-}
-
-std::vector<SolveResult> DwfSolver::solve_multi_double(
-    std::span<SpinorField<double>* const> x,
-    std::span<const SpinorField<double>* const> b) {
-  FEMTO_TRACE_SCOPE("solver", "dwf_solve_multi_double");
-  const std::size_t nb = x.size();
-  FEMTO_ASSERT(b.size() == nb);
-  if (nb == 0) return {};
-  const auto geom = b[0]->geom_ptr();
-  const int l5 = b[0]->l5();
-
   std::vector<SpinorField<double>> bhat, rhs, y;
   bhat.reserve(nb);
   rhs.reserve(nb);
   y.reserve(nb);
-  std::vector<SpinorField<double>*> rhsp, yp;
-  std::vector<const SpinorField<double>*> cbhatp, crhsp;
   for (std::size_t r = 0; r < nb; ++r) {
     assert(x[r]->subset() == Subset::Full && b[r]->subset() == Subset::Full);
     bhat.emplace_back(geom, l5, Subset::Odd);
@@ -192,6 +120,8 @@ std::vector<SolveResult> DwfSolver::solve_multi_double(
     y.emplace_back(geom, l5, Subset::Odd);
     op_d_.prepare_source(bhat.back(), *b[r]);
   }
+  std::vector<SpinorField<double>*> rhsp, yp;
+  std::vector<const SpinorField<double>*> cbhatp, crhsp;
   for (std::size_t r = 0; r < nb; ++r) {
     rhsp.push_back(&rhs[r]);
     cbhatp.push_back(&bhat[r]);
@@ -200,44 +130,77 @@ std::vector<SolveResult> DwfSolver::solve_multi_double(
   }
   op_d_.apply_schur_multi(rhsp, cbhatp, /*dagger=*/true);
 
-  MultiApplyFn<double> a_d = [this](
-                                 std::span<SpinorField<double>* const> out,
-                                 std::span<const SpinorField<double>* const>
-                                     in) { op_d_.apply_normal_multi(out, in); };
-  std::vector<SolveResult> res = block_cg<double>(
-      a_d, yp, crhsp, sparams_.tol, sparams_.max_iter, sparams_.blas_grain);
+  std::vector<SolveResult> res = cgne(yp, crhsp);
   for (std::size_t r = 0; r < nb; ++r) {
-    FEMTO_CHECK(std::isfinite(res[r].final_rel_residual),
-                "DwfSolver::solve_multi_double: block_cg returned a "
-                "non-finite residual");
+    FEMTO_CHECK(std::isfinite(res[r].final_rel_residual), nonfinite_msg);
     op_d_.reconstruct(*x[r], y[r], *b[r]);
   }
   return res;
 }
 
+// The four solves differ only in their CG.  The single-RHS ones run the
+// pipeline on a batch of one with the single-RHS solver — itself the
+// block solver on a batch of one — so they report as mixed_cg / cg.
+
+SolveResult DwfSolver::solve(SpinorField<double>& x,
+                             const SpinorField<double>& b) {
+  FEMTO_TRACE_SCOPE("solver", "dwf_solve");
+  SpinorField<double>* xp[1] = {&x};
+  const SpinorField<double>* bp[1] = {&b};
+  return solve_batch(
+      xp, bp,
+      [this](std::span<SpinorField<double>* const> y,
+             std::span<const SpinorField<double>* const> rhs) {
+        return std::vector<SolveResult>{mixed_cg(
+            normal_op(op_d_), normal_op(op_f_), *y[0], *rhs[0], sparams_)};
+      },
+      "DwfSolver::solve: mixed_cg returned a non-finite residual")[0];
+}
+
 SolveResult DwfSolver::solve_double(SpinorField<double>& x,
                                     const SpinorField<double>& b) {
   FEMTO_TRACE_SCOPE("solver", "dwf_solve_double");
-  assert(x.subset() == Subset::Full && b.subset() == Subset::Full);
-  const auto geom = b.geom_ptr();
-  const int l5 = b.l5();
+  SpinorField<double>* xp[1] = {&x};
+  const SpinorField<double>* bp[1] = {&b};
+  return solve_batch(
+      xp, bp,
+      [this](std::span<SpinorField<double>* const> y,
+             std::span<const SpinorField<double>* const> rhs) {
+        return std::vector<SolveResult>{
+            cg<double>(normal_op(op_d_), *y[0], *rhs[0], sparams_.tol,
+                       sparams_.max_iter, sparams_.blas_grain)};
+      },
+      "DwfSolver::solve_double: cg returned a non-finite residual")[0];
+}
 
-  SpinorField<double> bhat(geom, l5, Subset::Odd);
-  op_d_.prepare_source(bhat, b);
-  SpinorField<double> rhs(geom, l5, Subset::Odd);
-  op_d_.apply_schur(rhs, bhat, /*dagger=*/true);
+std::vector<SolveResult> DwfSolver::solve_multi(
+    std::span<SpinorField<double>* const> x,
+    std::span<const SpinorField<double>* const> b) {
+  FEMTO_TRACE_SCOPE("solver", "dwf_solve_multi");
+  return solve_batch(
+      x, b,
+      [this](std::span<SpinorField<double>* const> y,
+             std::span<const SpinorField<double>* const> rhs) {
+        return block_mixed_cg(normal_multi_op(op_d_), normal_multi_op(op_f_),
+                              y, rhs, sparams_);
+      },
+      "DwfSolver::solve_multi: block_mixed_cg returned a non-finite "
+      "residual");
+}
 
-  ApplyFn<double> a_d = [this](SpinorField<double>& out,
-                               const SpinorField<double>& in) {
-    op_d_.apply_normal(out, in);
-  };
-  SpinorField<double> y(geom, l5, Subset::Odd);
-  SolveResult res = cg<double>(a_d, y, rhs, sparams_.tol, sparams_.max_iter,
-                               sparams_.blas_grain);
-  FEMTO_CHECK(std::isfinite(res.final_rel_residual),
-              "DwfSolver::solve_double: cg returned a non-finite residual");
-  op_d_.reconstruct(x, y, b);
-  return res;
+std::vector<SolveResult> DwfSolver::solve_multi_double(
+    std::span<SpinorField<double>* const> x,
+    std::span<const SpinorField<double>* const> b) {
+  FEMTO_TRACE_SCOPE("solver", "dwf_solve_multi_double");
+  return solve_batch(
+      x, b,
+      [this](std::span<SpinorField<double>* const> y,
+             std::span<const SpinorField<double>* const> rhs) {
+        return block_cg<double>(normal_multi_op(op_d_), y, rhs, sparams_.tol,
+                                sparams_.max_iter, sparams_.blas_grain);
+      },
+      "DwfSolver::solve_multi_double: block_cg returned a non-finite "
+      "residual");
 }
 
 }  // namespace femto

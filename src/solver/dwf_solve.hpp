@@ -11,6 +11,7 @@
 // "sloppy" operator built from the converted gauge field (QUDA builds the
 // same pair on the GPU).
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -55,7 +56,8 @@ class DwfSolver {
   /// Solve D x_r = b_r for a block of right-hand sides against the shared
   /// gauge field: source prep and CGNE run batched (dslash_multi streams
   /// the links once per block), each RHS converging independently with
-  /// per-RHS results bitwise matching solve() (see block_cg.hpp).
+  /// per-RHS results bitwise matching solve() (see block_cg.hpp).  solve()
+  /// and solve_double() run the same pipeline on a batch of one.
   std::vector<SolveResult> solve_multi(
       std::span<SpinorField<double>* const> x,
       std::span<const SpinorField<double>* const> b);
@@ -66,6 +68,20 @@ class DwfSolver {
       std::span<const SpinorField<double>* const> b);
 
  private:
+  /// A CGNE solve of the odd-checkerboard normal equations for a batch:
+  /// solves into y_r given the right-hand sides Mhat^dag bhat_r.
+  using CgneFn = std::function<std::vector<SolveResult>(
+      std::span<SpinorField<double>* const> y,
+      std::span<const SpinorField<double>* const> rhs)>;
+
+  /// The one solve pipeline behind all four public solves: source prep,
+  /// CGNE through @p cgne, even-checkerboard reconstruction.
+  /// @p nonfinite_msg is the FEMTO_CHECK text of a non-finite residual.
+  std::vector<SolveResult> solve_batch(
+      std::span<SpinorField<double>* const> x,
+      std::span<const SpinorField<double>* const> b, const CgneFn& cgne,
+      const char* nonfinite_msg);
+
   MobiusParams mobius_;
   SolverParams sparams_;
   std::shared_ptr<const GaugeField<double>> u_d_;

@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "lattice/block_field.hpp"
+#include "lattice/compressed_gauge.hpp"
+#include "lattice/flops.hpp"
 #include "lattice/gauge.hpp"
 #include "simd/vec.hpp"
 
@@ -112,6 +114,58 @@ TEST(WilsonMulti, GrainDoesNotLeakIntoArithmetic) {
                             std::size_t{1024}})
     for (DslashVariant v : variants<double>())
       check_multi_matches_single<double>(4, 2, /*dagger=*/true, v, grain);
+}
+
+// A batch of one runs the single-RHS kernel, so dslash_multi on one view
+// must give dslash's bits and charge dslash's bytes, on every variant and
+// gauge tier.  (The batched blocked body packs l5 lane blocks for one RHS
+// where the single-RHS body packs ceil(l5/W), so it charges more.)
+template <typename T, typename GaugeT>
+void check_batch_of_one_is_single(const GaugeT& u, const char* tier) {
+  auto g = u.geom_ptr();
+  const int l5 = 3;
+  SpinorField<T> in(g, l5, Subset::Full), want(g, l5, Subset::Full),
+      got(g, l5, Subset::Full);
+  in.gaussian(741);
+  for (DslashVariant v : variants<T>())
+    for (bool dagger : {false, true})
+      for (int par = 0; par < 2; ++par) {
+        DslashTuning tune;
+        tune.variant = v;
+        const std::int64_t b0 = flops::bytes();
+        dslash<T>(parity_view(want, par), u, parity_view(in, 1 - par), par,
+                  dagger, tune);
+        const std::int64_t b1 = flops::bytes();
+        const SpinorView<T> out[] = {parity_view(got, par)};
+        const SpinorView<const T> inv[] = {
+            parity_view(std::as_const(in), 1 - par)};
+        dslash_multi<T>(out, u, inv, par, dagger, tune);
+        const std::int64_t b2 = flops::bytes();
+        EXPECT_EQ(b2 - b1, b1 - b0) << tier << " " << to_string(v)
+                                    << " dagger=" << dagger << " par=" << par;
+        for (std::int64_t k = 0; k < in.reals(); ++k)
+          ASSERT_EQ(got.data()[k], want.data()[k])
+              << tier << " " << to_string(v) << " dagger=" << dagger
+              << " par=" << par << " k=" << k;
+      }
+}
+
+template <typename T>
+void check_batch_of_one_every_tier() {
+  GaugeField<double> ud(geom());
+  weak_gauge(ud, 133, 0.3);
+  const GaugeField<T> u = ud.template convert<T>();
+  check_batch_of_one_is_single<T>(u, "full18");
+  check_batch_of_one_is_single<T>(CompressedGaugeField<T>(u), "recon12");
+  check_batch_of_one_is_single<T>(Fixed12GaugeField<T>(u), "fixed12");
+}
+
+TEST(WilsonMulti, BatchOfOneIsSingleRhsDouble) {
+  check_batch_of_one_every_tier<double>();
+}
+
+TEST(WilsonMulti, BatchOfOneIsSingleRhsFloat) {
+  check_batch_of_one_every_tier<float>();
 }
 
 TEST(BlockSpinorField, ViewHelpersCoverEveryRhs) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "lattice/gauge.hpp"
+#include "obs/metrics.hpp"
 
 namespace femto {
 namespace {
@@ -29,6 +30,29 @@ double full_residual(const MobiusOperator<double>& op,
   op.apply_full(check, x);
   blas::axpy(-1.0, b, check);
   return std::sqrt(blas::norm2(check) / blas::norm2(b));
+}
+
+// The single-RHS solves are the batch of one of the batched pipeline, but
+// a report consumer must still see each solve under its own solver's name.
+TEST(DwfSolver, ReportsEachSolveUnderItsSolversName) {
+  auto u = make_gauge(125);
+  DwfSolver solver(u, kParams);
+  SpinorField<double> b(u->geom_ptr(), kParams.l5, Subset::Full),
+      x(u->geom_ptr(), kParams.l5, Subset::Full);
+  b.gaussian(126);
+  SpinorField<double>* xp[] = {&x};
+  const SpinorField<double>* bp[] = {&b};
+  const auto last_solver = [] {
+    return obs::Registry::global().solves().back().solver;
+  };
+  solver.solve(x, b);
+  EXPECT_EQ(last_solver(), "mixed_cg");
+  solver.solve_double(x, b);
+  EXPECT_EQ(last_solver(), "cg");
+  solver.solve_multi(xp, bp);
+  EXPECT_EQ(last_solver(), "block_mixed_cg");
+  solver.solve_multi_double(xp, bp);
+  EXPECT_EQ(last_solver(), "block_cg");
 }
 
 TEST(DwfSolver, MixedPrecisionSolvesFullSystem) {
